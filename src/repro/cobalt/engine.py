@@ -37,7 +37,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.il.ast import Assign, Call, IfGoto, Return, Stmt
+from repro.il.ast import IfGoto, Return, Stmt
 from repro.il.cfg import Cfg
 from repro.il.program import Procedure, Program
 from repro.cobalt.dsl import BackwardPattern, ForwardPattern, Optimization, PureAnalysis
@@ -49,6 +49,7 @@ from repro.cobalt.guards import (
     GNot,
     Guard,
     check,
+    enumeration_domains,
     generate,
     instantiate_term,
 )
@@ -61,9 +62,12 @@ from repro.cobalt.labels import (
     SemanticLabel,
 )
 from repro.cobalt.patterns import (
+    ConstPat,
+    ExprPat,
     FrozenSubst,
     PatternError,
     Subst,
+    VarPat,
     freeze_subst,
     instantiate_stmt,
     match_stmt,
@@ -184,34 +188,14 @@ def _edge_sig(s: Stmt) -> Tuple[object, ...]:
     return ("ft",)
 
 
-def _domain_sig(proc: Procedure) -> Tuple[object, ...]:
-    """Everything ``generate`` enumeration domains depend on besides the
-    node's own statement: the procedure's variables, constants,
-    expressions, and statement count (see guards._domain)."""
-    exprs: Set[object] = set()
-    for s in proc.stmts:
-        if isinstance(s, Assign):
-            exprs.add(s.rhs)
-        elif isinstance(s, Call):
-            exprs.add(s.arg)
-        elif isinstance(s, IfGoto):
-            exprs.add(s.cond)
-        elif isinstance(s, Return):
-            exprs.add(s.var)
-    return (
-        proc.mentioned_vars(),
-        proc.constants(),
-        frozenset(exprs),
-        len(proc.stmts),
-    )
-
-
 class _ProcState:
     """One-time per-procedure constructions shared across guard fixpoints:
     the CFG, reachability sets, worklist priority orders, and the
-    enumeration-domain signature."""
+    enumeration domains with their signature."""
 
-    __slots__ = ("cfg", "on_path_fwd", "on_path_bwd", "rank_fwd", "rank_bwd", "domain_sig")
+    __slots__ = (
+        "cfg", "on_path_fwd", "on_path_bwd", "rank_fwd", "rank_bwd", "domains", "domain_sig",
+    )
 
     def __init__(self, cfg: Cfg) -> None:
         self.cfg = cfg
@@ -224,7 +208,16 @@ class _ProcState:
         self.rank_bwd = [0] * n
         for rank, node in enumerate(cfg.postorder()):
             self.rank_bwd[node] = rank
-        self.domain_sig = _domain_sig(cfg.proc)
+        self._set_domains(cfg.proc)
+
+    def _set_domains(self, proc: Procedure) -> None:
+        # The signature is everything the domains depend on (variables,
+        # constants, expressions, statement count); procedures with equal
+        # signatures share ``gen`` memo entries.
+        self.domains = domains = enumeration_domains(proc)
+        self.domain_sig = (
+            domains[VarPat], domains[ConstPat], frozenset(domains[ExprPat]), len(proc.stmts),
+        )
 
     @staticmethod
     def build(proc: Procedure) -> "_ProcState":
@@ -234,7 +227,7 @@ class _ProcState:
         """The state of ``new_proc``, which differs from this state's
         procedure only at the ``changed`` indices.  When no changed
         statement alters CFG shape the graph, reachability, and orders
-        carry over; only the domain signature is recomputed."""
+        carry over; only the enumeration domains are recomputed."""
         old = self.cfg.proc
         if any(
             _edge_sig(old.stmts[i]) != _edge_sig(new_proc.stmts[i]) for i in changed
@@ -247,7 +240,7 @@ class _ProcState:
         out.on_path_bwd = self.on_path_bwd
         out.rank_fwd = self.rank_fwd
         out.rank_bwd = self.rank_bwd
-        out.domain_sig = _domain_sig(new_proc)
+        out._set_domains(new_proc)
         return out
 
 
@@ -321,7 +314,8 @@ class CobaltEngine:
         engine's (deliberately uncached) behavior."""
         cfg = Cfg.build(proc)
         self.stats.cfg_builds += 1
-        ctxs = [NodeCtx(proc, cfg, i, self.registry, labeling) for i in cfg.nodes()]
+        domains = enumeration_domains(proc)
+        ctxs = [NodeCtx(proc, cfg, i, self.registry, labeling, domains) for i in cfg.nodes()]
         return cfg, ctxs
 
     def guard_facts(
@@ -425,7 +419,7 @@ class CobaltEngine:
         state = self._state(proc)
         cfg = state.cfg
         n = len(proc.stmts)
-        ctxs = [NodeCtx(proc, cfg, i, self.registry, labeling) for i in range(n)]
+        ctxs = [NodeCtx(proc, cfg, i, self.registry, labeling, state.domains) for i in range(n)]
 
         psi1_key = self._intern(self._guard_keys, psi1)
         psi2_key = self._intern(self._guard_keys, psi2)
@@ -553,8 +547,11 @@ class CobaltEngine:
         start = time.perf_counter()
         delta: List[TransformationInstance] = []
         seen: Set[Tuple[int, FrozenSubst]] = set()
+        kind = type(pattern.s)
         for i, fact in enumerate(facts):
             stmt = proc.stmt_at(i)
+            if type(stmt) is not kind:
+                continue  # match_stmt would reject every substitution
             for frozen in sorted(fact, key=subst_order_key):
                 theta = match_stmt(pattern.s, stmt, thaw_subst(frozen))
                 if theta is None:

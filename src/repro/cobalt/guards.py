@@ -22,15 +22,40 @@ Two evaluation modes are provided:
   matching, falling back to the finite domains of the procedure (its
   variables, constants, expressions, and indices) for pattern variables not
   determined by any statement pattern.
+
+Both modes run a guard through closures built once per guard object (see
+"Compiled evaluation" below and docs/ENGINE.md), not by walking its tree
+at every evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
-from repro.il.ast import Const, Expr, Stmt, Var
+from repro.il.ast import (
+    BINARY_OPS,
+    UNARY_OPS,
+    Assign,
+    Call,
+    Const,
+    Expr,
+    IfGoto,
+    Return,
+    Var,
+)
 from repro.cobalt.patterns import (
     ConstPat,
     ExprPat,
@@ -41,13 +66,16 @@ from repro.cobalt.patterns import (
     Subst,
     VarPat,
     Wildcard,
+    freeze_subst,
     instantiate_expr,
     match_stmt,
-    pattern_vars,
 )
 
 if TYPE_CHECKING:
-    from repro.cobalt.labels import LabelRegistry, NodeCtx
+    from repro.cobalt.labels import NodeCtx
+    from repro.il.program import Procedure
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -170,39 +198,12 @@ def gor(*parts: Guard) -> Guard:
 
 def guard_pattern_vars(guard: Guard) -> FrozenSet[str]:
     """All pattern-variable names occurring in a guard."""
-    if isinstance(guard, (GTrue, GFalse)):
-        return frozenset()
-    if isinstance(guard, GNot):
-        return guard_pattern_vars(guard.body)
-    if isinstance(guard, (GAnd, GOr)):
-        out: FrozenSet[str] = frozenset()
-        for p in guard.parts:
-            out |= guard_pattern_vars(p)
-        return out
-    if isinstance(guard, GLabel):
-        out = frozenset()
-        for a in guard.args:
-            out |= pattern_vars(a)
-        return out
-    if isinstance(guard, GEq):
-        return pattern_vars(guard.lhs) | pattern_vars(guard.rhs)
-    if isinstance(guard, GCase):
-        out = guard_pattern_vars(guard.default)
-        for pattern, arm in guard.arms:
-            out |= pattern_vars(pattern) | guard_pattern_vars(arm)
-        return out
-    raise TypeError(f"not a guard: {guard!r}")
+    return frozenset(leaf.name for leaf in guard_leaves(guard))  # type: ignore[attr-defined]
 
 
 def guard_leaves(guard: Guard) -> FrozenSet[object]:
     """All pattern-variable *leaves* (with their kinds) in a guard."""
     leaves: set = set()
-
-    def walk_term(t: object) -> None:
-        names = pattern_vars(t)
-        for leaf in _leaves_of(t):
-            leaves.add(leaf)
-        del names
 
     def walk(g: Guard) -> None:
         if isinstance(g, (GTrue, GFalse)):
@@ -214,14 +215,14 @@ def guard_leaves(guard: Guard) -> FrozenSet[object]:
                 walk(p)
         elif isinstance(g, GLabel):
             for a in g.args:
-                walk_term(a)
+                leaves.update(_leaves_of(a))
         elif isinstance(g, GEq):
-            walk_term(g.lhs)
-            walk_term(g.rhs)
+            leaves.update(_leaves_of(g.lhs))
+            leaves.update(_leaves_of(g.rhs))
         elif isinstance(g, GCase):
             walk(g.default)
             for pattern, arm in g.arms:
-                walk_term(pattern)
+                leaves.update(_leaves_of(pattern))
                 walk(arm)
         else:
             raise TypeError(f"not a guard: {g!r}")
@@ -300,40 +301,195 @@ def instantiate_term(t: object, theta: Subst) -> object:
 
 
 # ---------------------------------------------------------------------------
-# Check mode
+# Compiled evaluation
 # ---------------------------------------------------------------------------
+#
+# Each guard is translated once into nested closures; ``check`` and
+# ``generate`` then look the closure up and call it.  The caches are keyed
+# by ``id(guard)`` because frozen-dataclass guards re-hash their whole tree
+# on every dict probe; the value pins the guard, so its id cannot be
+# recycled while the entry lives, and the ``is`` test on lookup rejects an
+# entry left by any other object.  Each cache is cleared when it reaches
+# ``_CACHE_LIMIT`` entries.
+
+CheckFn = Callable[[Subst, "NodeCtx"], bool]
+GenFn = Callable[[Subst, "NodeCtx"], List[Subst]]
+
+_CACHE_LIMIT = 1 << 10
+_CHECK_CACHE: Dict[int, Tuple[Guard, CheckFn]] = {}
+_GEN_CACHE: Dict[int, Tuple[Guard, Tuple[GenFn, CheckFn, FrozenSet[object]]]] = {}
+
+
+def _cached(cache: Dict[int, Tuple[Guard, T]], guard: Guard, build: Callable[[Guard], T]) -> T:
+    entry = cache.get(id(guard))
+    if entry is not None and entry[0] is guard:
+        return entry[1]
+    value = build(guard)
+    if len(cache) >= _CACHE_LIMIT:
+        cache.clear()
+    cache[id(guard)] = (guard, value)
+    return value
+
+
+def _term_fn(t: object) -> Callable[[Subst], object]:
+    """``instantiate_term`` specialised to one term."""
+    if isinstance(t, (VarPat, ConstPat, ExprPat, OpPat, IndexPat)):
+        name = t.name
+
+        def bound(theta: Subst) -> object:
+            value = theta.get(name)
+            if value is None:
+                raise PatternError(f"unbound pattern variable {name}")
+            return value
+
+        return bound
+    if isinstance(t, (Var, Const, str, int)):
+        return lambda theta: t
+    return lambda theta: instantiate_expr(t, theta)
+
+
+def _arms_by_type(guard: GCase, compile_arm: Callable) -> Dict[type, Tuple[Tuple[PStmt, object], ...]]:
+    """The case's arms grouped by statement class, in order: an arm can only
+    match a statement of its pattern's class (see ``match_stmt``)."""
+    arms: Dict[type, List[Tuple[PStmt, object]]] = {}
+    for pattern, arm in guard.arms:
+        arms.setdefault(type(pattern), []).append((pattern, compile_arm(arm)))
+    return {kind: tuple(group) for kind, group in arms.items()}
+
+
+def _compile_check(guard: Guard) -> CheckFn:
+    if isinstance(guard, GTrue):
+        return lambda theta, ctx: True
+    if isinstance(guard, GFalse):
+        return lambda theta, ctx: False
+    if isinstance(guard, GNot):
+        body = _compile_check(guard.body)
+        return lambda theta, ctx: not body(theta, ctx)
+    if isinstance(guard, GAnd):
+        parts = tuple(map(_compile_check, guard.parts))
+
+        def conj(theta: Subst, ctx: "NodeCtx") -> bool:
+            for part in parts:
+                if not part(theta, ctx):
+                    return False
+            return True
+
+        return conj
+    if isinstance(guard, GOr):
+        parts = tuple(map(_compile_check, guard.parts))
+
+        def disj(theta: Subst, ctx: "NodeCtx") -> bool:
+            for part in parts:
+                if part(theta, ctx):
+                    return True
+            return False
+
+        return disj
+    if isinstance(guard, GLabel):
+        if guard.name == "stmt":
+            pattern = guard.args[0]
+            kind = type(pattern)
+            return lambda theta, ctx: (
+                type(ctx.stmt) is kind and match_stmt(pattern, ctx.stmt, theta) is not None
+            )
+        name = guard.name
+        args = tuple(map(_term_fn, guard.args))
+
+        def label(theta: Subst, ctx: "NodeCtx") -> bool:
+            inst = tuple([arg(theta) for arg in args])
+            return ctx.registry.lookup(name).eval(inst, ctx)
+
+        return label
+    if isinstance(guard, GEq):
+        lhs, rhs = _term_fn(guard.lhs), _term_fn(guard.rhs)
+        return lambda theta, ctx: lhs(theta) == rhs(theta)
+    if isinstance(guard, GCase):
+        arms = _arms_by_type(guard, _compile_check)
+        default = _compile_check(guard.default)
+
+        def case(theta: Subst, ctx: "NodeCtx") -> bool:
+            stmt = ctx.stmt
+            for pattern, arm in arms.get(type(stmt), ()):
+                extended = match_stmt(pattern, stmt, theta)
+                if extended is not None:
+                    return arm(extended, ctx)
+            return default(theta, ctx)
+
+        return case
+    raise TypeError(f"not a guard: {guard!r}")
+
+
+def _compile_gen(guard: Guard) -> Optional[GenFn]:
+    """Propose (possibly partial) bindings; final filtering is by check().
+
+    ``None`` stands for the identity proposal ``[theta]`` of every guard
+    that binds nothing by itself."""
+    if isinstance(guard, GLabel) and guard.name == "stmt":
+        pattern = guard.args[0]
+        kind = type(pattern)
+
+        def stmt(theta: Subst, ctx: "NodeCtx") -> List[Subst]:
+            if type(ctx.stmt) is not kind:
+                return []
+            extended = match_stmt(pattern, ctx.stmt, theta)
+            return [extended] if extended is not None else []
+
+        return stmt
+    if isinstance(guard, (GTrue, GFalse, GLabel, GEq, GNot)):
+        return None
+    if isinstance(guard, GAnd):
+        parts = tuple(fn for fn in map(_compile_gen, guard.parts) if fn is not None)
+        if not parts:
+            return None
+
+        def conj(theta: Subst, ctx: "NodeCtx") -> List[Subst]:
+            thetas = [theta]
+            for part in parts:
+                thetas = [t2 for t in thetas for t2 in part(t, ctx)]
+            return thetas
+
+        return conj
+    if isinstance(guard, GOr):
+        parts = tuple(map(_compile_gen, guard.parts))
+
+        def disj(theta: Subst, ctx: "NodeCtx") -> List[Subst]:
+            out: List[Subst] = []
+            for part in parts:
+                if part is None:
+                    out.append(theta)
+                else:
+                    out.extend(part(theta, ctx))
+            return out
+
+        return disj
+    if isinstance(guard, GCase):
+        arms = _arms_by_type(guard, _compile_gen)
+        default = _compile_gen(guard.default)
+
+        def case(theta: Subst, ctx: "NodeCtx") -> List[Subst]:
+            stmt = ctx.stmt
+            for pattern, arm in arms.get(type(stmt), ()):
+                extended = match_stmt(pattern, stmt, theta)
+                if extended is not None:
+                    return [extended] if arm is None else arm(extended, ctx)
+            return [theta] if default is None else default(theta, ctx)
+
+        return case
+    raise TypeError(f"not a guard: {guard!r}")
+
+
+def _propose_unchanged(theta: Subst, ctx: "NodeCtx") -> List[Subst]:
+    return [theta]
+
+
+def _compile_generate(guard: Guard) -> Tuple[GenFn, CheckFn, FrozenSet[object]]:
+    gen = _compile_gen(guard) or _propose_unchanged
+    return gen, _cached(_CHECK_CACHE, guard, _compile_check), guard_leaves(guard)
 
 
 def check(guard: Guard, theta: Subst, ctx: "NodeCtx") -> bool:
     """Evaluate ``iota |=theta psi`` with a fully binding ``theta``."""
-    if isinstance(guard, GTrue):
-        return True
-    if isinstance(guard, GFalse):
-        return False
-    if isinstance(guard, GNot):
-        return not check(guard.body, theta, ctx)
-    if isinstance(guard, GAnd):
-        return all(check(p, theta, ctx) for p in guard.parts)
-    if isinstance(guard, GOr):
-        return any(check(p, theta, ctx) for p in guard.parts)
-    if isinstance(guard, GLabel):
-        if guard.name == "stmt":
-            return match_stmt(guard.args[0], ctx.stmt, theta) is not None
-        return ctx.registry.holds(guard.name, guard.args, theta, ctx)
-    if isinstance(guard, GEq):
-        return instantiate_term(guard.lhs, theta) == instantiate_term(guard.rhs, theta)
-    if isinstance(guard, GCase):
-        for pattern, arm in guard.arms:
-            extended = match_stmt(pattern, ctx.stmt, theta)
-            if extended is not None:
-                return check(arm, extended, ctx)
-        return check(guard.default, theta, ctx)
-    raise TypeError(f"not a guard: {guard!r}")
-
-
-# ---------------------------------------------------------------------------
-# Generate mode
-# ---------------------------------------------------------------------------
+    return _cached(_CHECK_CACHE, guard, _compile_check)(theta, ctx)
 
 
 def generate(guard: Guard, base: Subst, ctx: "NodeCtx") -> List[Subst]:
@@ -344,80 +500,55 @@ def generate(guard: Guard, base: Subst, ctx: "NodeCtx") -> List[Subst]:
     be determined from statement patterns are enumerated over the finite
     domains of the enclosing procedure.
     """
-    partials = _gen(guard, dict(base), ctx)
-    needed = guard_leaves(guard)
+    gen, holds, needed = _cached(_GEN_CACHE, guard, _compile_generate)
     out: List[Subst] = []
     seen: set = set()
-    for theta in partials:
-        missing = [leaf for leaf in needed if getattr(leaf, "name", None) not in theta]
+    for theta in gen(dict(base), ctx):
+        missing = [leaf for leaf in needed if leaf.name not in theta]  # type: ignore[attr-defined]
         for completed in _enumerate(missing, theta, ctx):
-            if check(guard, completed, ctx):
-                key = tuple(sorted((k, repr(v)) for k, v in completed.items()))
+            if holds(completed, ctx):
+                key = freeze_subst(completed)
                 if key not in seen:
                     seen.add(key)
                     out.append(completed)
     return out
 
 
-def _gen(guard: Guard, theta: Subst, ctx: "NodeCtx") -> List[Subst]:
-    """Propose (possibly partial) bindings; final filtering is by check()."""
-    if isinstance(guard, (GTrue, GFalse)):
-        return [theta]
-    if isinstance(guard, GLabel):
-        if guard.name == "stmt":
-            extended = match_stmt(guard.args[0], ctx.stmt, theta)
-            return [extended] if extended is not None else []
-        return [theta]
-    if isinstance(guard, GEq):
-        return [theta]
-    if isinstance(guard, GNot):
-        return [theta]
-    if isinstance(guard, GAnd):
-        thetas = [theta]
-        for part in guard.parts:
-            thetas = [t2 for t in thetas for t2 in _gen(part, t, ctx)]
-        return thetas
-    if isinstance(guard, GOr):
-        out: List[Subst] = []
-        for part in guard.parts:
-            out.extend(_gen(part, theta, ctx))
-        return out
-    if isinstance(guard, GCase):
-        out = []
-        for pattern, arm in guard.arms:
-            extended = match_stmt(pattern, ctx.stmt, theta)
-            if extended is not None:
-                out.extend(_gen(arm, extended, ctx))
-                return out
-        return _gen(guard.default, theta, ctx)
-    raise TypeError(f"not a guard: {guard!r}")
-
-
 def _enumerate(missing: Sequence[object], theta: Subst, ctx: "NodeCtx") -> Iterable[Subst]:
     if not missing:
         yield theta
         return
-    domains: List[List[object]] = []
-    for leaf in missing:
-        domains.append(list(_domain(leaf, ctx)))
+    domains = ctx.domains
+    if domains is None:
+        domains = ctx.domains = enumeration_domains(ctx.proc)
     names = [leaf.name for leaf in missing]  # type: ignore[attr-defined]
-    for combo in itertools.product(*domains):
+    for combo in itertools.product(*[domains[type(leaf)] for leaf in missing]):
         extended = dict(theta)
         extended.update(zip(names, combo))
         yield extended
 
 
-def _domain(leaf: object, ctx: "NodeCtx") -> Iterable[object]:
-    if isinstance(leaf, VarPat):
-        return sorted((Var(v) for v in ctx.proc.mentioned_vars()), key=str)
-    if isinstance(leaf, ConstPat):
-        return sorted((Const(c) for c in ctx.proc.constants()), key=lambda c: c.value)
-    if isinstance(leaf, ExprPat):
-        return ctx.proc_exprs()
-    if isinstance(leaf, IndexPat):
-        return list(ctx.proc.indices())
-    if isinstance(leaf, OpPat):
-        from repro.il.ast import BINARY_OPS, UNARY_OPS
+Domains = Dict[type, Tuple[object, ...]]
 
-        return list(BINARY_OPS) + list(UNARY_OPS)
-    raise PatternError(f"cannot enumerate domain of {leaf!r}")
+
+def enumeration_domains(proc: "Procedure") -> Domains:
+    """The values ``generate`` enumerates a pattern variable over, by leaf
+    kind, when no statement pattern binds it: the procedure's variables,
+    constants, expressions and indices, and every operator."""
+    exprs: Dict[Expr, None] = {}
+    for s in proc.stmts:
+        if isinstance(s, Assign):
+            exprs[s.rhs] = None
+        elif isinstance(s, Call):
+            exprs[s.arg] = None
+        elif isinstance(s, IfGoto):
+            exprs[s.cond] = None
+        elif isinstance(s, Return):
+            exprs[s.var] = None
+    return {
+        VarPat: tuple(sorted((Var(v) for v in proc.mentioned_vars()), key=str)),
+        ConstPat: tuple(sorted((Const(c) for c in proc.constants()), key=lambda c: c.value)),
+        ExprPat: tuple(exprs),
+        IndexPat: tuple(proc.indices()),
+        OpPat: BINARY_OPS + UNARY_OPS,
+    }

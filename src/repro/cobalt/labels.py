@@ -32,7 +32,7 @@ bodies (``usesVar``, ``definesVar``, ``exprUses``, ``exprMentions``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.il.ast import (
     AddrOf,
@@ -44,9 +44,7 @@ from repro.il.ast import (
     Deref,
     DerefLhs,
     Expr,
-    IfGoto,
     New,
-    Return,
     Skip,
     Stmt,
     UnOp,
@@ -68,9 +66,9 @@ from repro.cobalt.guards import (
     GNot,
     GOr,
     GTrue,
+    Domains,
     Guard,
     check,
-    instantiate_term,
 )
 from repro.cobalt.patterns import (
     ConstPat,
@@ -116,40 +114,26 @@ class Labeling:
 
 @dataclass
 class NodeCtx:
-    """Evaluation context: one node of a labeled CFG."""
+    """Evaluation context: one node of a labeled CFG.
+
+    ``stmt`` is resolved once, when the context is made.  ``domains`` are
+    the procedure's enumeration domains (``guards.enumeration_domains``);
+    an engine shares one copy among all contexts of a procedure, and
+    ``generate`` fills them in on first use when they were not given."""
 
     proc: Procedure
     cfg: Cfg
     index: int
     registry: "LabelRegistry"
     labeling: Labeling = field(default_factory=Labeling)
+    domains: Optional[Domains] = field(default=None, repr=False, compare=False)
+    stmt: Stmt = field(init=False, repr=False, compare=False)
 
-    @property
-    def stmt(self) -> Stmt:
-        return self.proc.stmt_at(self.index)
+    def __post_init__(self) -> None:
+        self.stmt = self.proc.stmt_at(self.index)
 
     def at(self, index: int) -> "NodeCtx":
-        return NodeCtx(self.proc, self.cfg, index, self.registry, self.labeling)
-
-    def proc_exprs(self) -> List[Expr]:
-        """All expressions occurring in the procedure (ExprPat domain)."""
-        out: List[Expr] = []
-        seen: set = set()
-        for s in self.proc.stmts:
-            candidates: List[Expr] = []
-            if isinstance(s, Assign):
-                candidates.append(s.rhs)
-            elif isinstance(s, Call):
-                candidates.append(s.arg)
-            elif isinstance(s, IfGoto):
-                candidates.append(s.cond)
-            elif isinstance(s, Return):
-                candidates.append(s.var)
-            for e in candidates:
-                if e not in seen:
-                    seen.add(e)
-                    out.append(e)
-        return out
+        return NodeCtx(self.proc, self.cfg, index, self.registry, self.labeling, self.domains)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +206,6 @@ class LabelRegistry:
         if name not in self.defs:
             raise LabelError(f"undefined label {name}")
         return self.defs[name]
-
-    def holds(self, name: str, args: Tuple[object, ...], theta: Subst, ctx: NodeCtx) -> bool:
-        inst = tuple(instantiate_term(a, theta) for a in args)
-        return self.lookup(name).eval(inst, ctx)
 
     def copy(self) -> "LabelRegistry":
         out = LabelRegistry()

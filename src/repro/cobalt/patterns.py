@@ -253,6 +253,8 @@ def match_stmt(pattern: PStmt, stmt: Stmt, theta: Optional[Subst] = None) -> Opt
     Returns the extended substitution, or None when they do not match.
     The incoming ``theta`` is never mutated.
     """
+    if type(pattern) is not type(stmt):
+        return None
     theta = dict(theta or {})
     if isinstance(pattern, Skip) and isinstance(stmt, Skip):
         return theta

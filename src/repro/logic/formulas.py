@@ -70,8 +70,7 @@ class Top(_Node):
         _setattr(self, "_fvs", _EMPTY_FVS)
         _setattr(self, "_str", "true")
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("Top",)
@@ -101,8 +100,7 @@ class Bottom(_Node):
         _setattr(self, "_fvs", _EMPTY_FVS)
         _setattr(self, "_str", "false")
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("Bot",)
@@ -134,8 +132,7 @@ class Eq(_Node):
         _setattr(self, "_fvs", lhs._fvs | rhs._fvs)
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("Eq", self.lhs, self.rhs)
@@ -173,8 +170,7 @@ class Pred(_Node):
         _setattr(self, "_fvs", _union_fvs(args) if args else _EMPTY_FVS)
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("Pred", self.name, self.args)
@@ -212,8 +208,7 @@ class Not(_Node):
         _setattr(self, "_fvs", body._fvs)
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("Not", self.body)
@@ -250,8 +245,7 @@ class And(_Node):
         _setattr(self, "_fvs", _union_fvs(parts))
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("And", self.parts)
@@ -288,8 +282,7 @@ class Or(_Node):
         _setattr(self, "_fvs", _union_fvs(parts))
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("Or", self.parts)
@@ -325,8 +318,7 @@ class Implies(_Node):
         _setattr(self, "_fvs", hyp._fvs | conc._fvs)
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("Imp", self.hyp, self.conc)
@@ -362,8 +354,7 @@ class Iff(_Node):
         _setattr(self, "_fvs", lhs._fvs | rhs._fvs)
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("Iff", self.lhs, self.rhs)
@@ -410,8 +401,7 @@ class Forall(_Node):
         _setattr(self, "_fvs", body._fvs - frozenset(vars) if body._fvs else _EMPTY_FVS)
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("FA", self.vars, self.body, self.triggers)
@@ -452,8 +442,7 @@ class Exists(_Node):
         _setattr(self, "_fvs", body._fvs - frozenset(vars) if body._fvs else _EMPTY_FVS)
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("EX", self.vars, self.body)
@@ -740,8 +729,7 @@ class Literal(_Node):
         _setattr(self, "_fvs", atom._fvs)
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def negate(self) -> "Literal":
         return Literal(not self.positive, self.atom)
@@ -800,8 +788,7 @@ class Clause(_Node):
         _setattr(self, "_fvs", _union_fvs(literals))
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def vars(self) -> FrozenSet[str]:
         return self._fvs

@@ -12,6 +12,10 @@ system relies on:
 * **weakness** — the table holds no strong references, so nodes die with
   their last user and the table shrinks under GC (pinned only while memo
   tables below reference them);
+* **thread safety** — lookups that hit take no lock; a constructor that
+  misses publishes under a lock that re-checks the table, and returns
+  whichever node won, so threads building the same new structure at once
+  still share one object;
 * **memo soundness** — the transformation memos (``subst``, ``nnf``,
   ``skolemize``, ``clausify``, ``Clause.substitute``) key on node objects.
   Because keys hold strong references to their nodes, a memo entry can never
@@ -25,6 +29,7 @@ output.  See docs/TERMS.md.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -53,9 +58,25 @@ def lookup(key: tuple) -> Optional[object]:
     return TABLE.get(key)  # pragma: no cover
 
 
-def publish(key: tuple, node: object) -> None:
-    """Make ``node`` the canonical bearer of ``key``."""
-    TABLE[key] = node
+#: Serialises publication only: a constructor that misses in :func:`lookup`
+#: re-checks under it, so two threads building the same new node agree on
+#: one canonical object.  Hits never take it.
+_PUBLISH_LOCK = threading.Lock()
+
+
+def publish(key: tuple, node: object) -> object:
+    """Make ``node`` the canonical bearer of ``key`` unless another thread
+    published one first; returns the canonical node."""
+    with _PUBLISH_LOCK:
+        if _DATA is not None:
+            ref = _DATA.get(key)  # lookup(), inlined: this runs on every miss
+            winner = ref() if ref is not None else None
+        else:  # pragma: no cover
+            winner = TABLE.get(key)
+        if winner is None:
+            TABLE[key] = node
+            return node
+    return winner
 
 
 def table_size() -> int:

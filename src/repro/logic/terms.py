@@ -102,8 +102,7 @@ class LVar(_Node):
         _setattr(self, "_size", 1)
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("V", self.name)
@@ -141,8 +140,7 @@ class IntConst(_Node):
         _setattr(self, "_size", 1)
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("I", self.value)
@@ -192,8 +190,7 @@ class App(_Node):
             _setattr(self, "_size", 1)
         _setattr(self, "_str", None)
         _setattr(self, "_interned", True)
-        _publish(key, self)
-        return self
+        return _publish(key, self)
 
     def _struct_key(self) -> tuple:
         return ("A", self.fn, self.args)

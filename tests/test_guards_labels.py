@@ -5,6 +5,7 @@ import pytest
 from repro.il.ast import Const, Var
 from repro.il.cfg import Cfg
 from repro.il.parser import parse_program
+from repro.cobalt import guards
 from repro.cobalt.guards import (
     GAnd,
     GCase,
@@ -249,3 +250,80 @@ class TestRegistry:
         clone.define(CaseLabel("custom", (), GTrue()))
         with pytest.raises(LabelError):
             registry.lookup("custom")
+
+
+def _dae_psi1():
+    """A fresh guard object (statement pattern plus enumerated variable)."""
+    return GAnd(
+        (
+            GLabel("stmt", (parse_pattern_stmt("return ..."),)),
+            GNot(GLabel("mayUse", (VarPat("X"),))),
+        )
+    )
+
+
+def _const_guard():
+    return GAnd(
+        (
+            GLabel("stmt", (parse_pattern_stmt("Y := C"),)),
+            GNot(GOr((GLabel("mayDef", (VarPat("Y"),)), GEq(VarPat("Y"), Var("n"))))),
+        )
+    )
+
+
+class TestCompileCaches:
+    """check/generate compile each guard once, into caches keyed by
+    ``id(guard)`` that pin the guard and are bounded."""
+
+    CACHES = (guards._CHECK_CACHE, guards._GEN_CACHE)
+
+    def test_recycled_id_never_gets_a_stale_function(self, registry):
+        ctx = ctx_for(PROGRAM, 2, registry)
+        # An entry whose pinned guard is another object is never served,
+        # even when it sits under the probing guard's id.
+        probe = GEq(Const(1), Const(2))
+        guards._CHECK_CACHE[id(probe)] = (GTrue(), lambda theta, ctx: True)
+        assert not check(probe, {}, ctx)
+        # The terms are built up front, so a guard made right after another
+        # is freed lands in the freed guard's memory and gets its id ...
+        one, two = Const(1), Const(2)
+        recycled = 0
+        for _ in range(20):
+            old = GEq(one, one)
+            old_id = id(old)
+            del old
+            recycled += id(GEq(one, two)) == old_id
+        assert recycled, "ids are never recycled here; the check below proves nothing"
+        # ... unless the cache still pins the compiled guard: a guard of the
+        # opposite truth value made after it is dropped evaluates to its own.
+        for _ in range(20):
+            old = GEq(one, one)
+            assert check(old, {}, ctx)
+            del old
+            assert not check(GEq(one, two), {}, ctx)
+
+    def test_structurally_equal_guards_agree(self, registry):
+        first, second = _dae_psi1(), _dae_psi1()
+        const_a, const_b = _const_guard(), _const_guard()
+        assert first == second and first is not second
+        proc = parse_program(PROGRAM).proc("main")
+        for index in proc.indices():
+            ctx = ctx_for(PROGRAM, index, registry)
+            assert generate(first, {}, ctx) == generate(second, {}, ctx)
+            assert generate(const_a, {}, ctx) == generate(const_b, {}, ctx)
+            for theta in generate(first, {}, ctx) + [{"X": Var("a")}, {"X": Var("p")}]:
+                assert check(first, theta, ctx) == check(second, theta, ctx)
+            theta = {"Y": Var("a"), "C": Const(5)}
+            assert check(const_a, theta, ctx) == check(const_b, theta, ctx)
+
+    def test_caches_stay_within_their_bound(self, registry):
+        ctx = ctx_for(PROGRAM, 2, registry)
+        keep = []
+        for i in range(guards._CACHE_LIMIT + 10):
+            guard = GEq(Const(i), Const(i))
+            keep.append(guard)  # live guards: no id is recycled meanwhile
+            assert check(guard, {}, ctx)
+            assert generate(guard, {}, ctx) == [{}]
+            for cache in self.CACHES:
+                assert len(cache) <= guards._CACHE_LIMIT
+        assert all(len(cache) >= 1 for cache in self.CACHES)

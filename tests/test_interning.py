@@ -420,3 +420,64 @@ def test_prover_stats_expose_intern_metrics():
 def test_global_intern_summary_renders():
     line = I.STATS.summary()
     assert "intern table" in line and "live nodes" in line
+
+
+# ---------------------------------------------------------------------------
+# Concurrent interning
+# ---------------------------------------------------------------------------
+
+
+def _race(worker, threads):
+    """Run ``worker`` on ``threads`` threads at once, switching between them
+    as often as the interpreter allows; returns their results in order."""
+    import sys
+    import threading
+
+    results = [None] * threads
+    barrier = threading.Barrier(threads, timeout=60)
+
+    def run(slot):
+        barrier.wait()
+        results[slot] = worker()
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=run, args=(slot,)) for slot in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in pool), "a racing thread hung"
+    finally:
+        sys.setswitchinterval(previous)
+    assert all(result is not None for result in results), "a racing thread failed"
+    return results
+
+
+def test_threads_building_the_same_new_nodes_share_them():
+    # The threads construct the same never-seen terms in the same order,
+    # so they keep missing on the same key at the same moment.
+    def build():
+        return [App("raced", (IntConst(i),)) for i in range(50_000)]
+
+    first, *others = _race(build, threads=4)
+    for other in others:
+        assert sum(a is not b for a, b in zip(first, other)) == 0
+
+
+def test_concurrent_suite_obligation_keys_match_a_serial_run():
+    # obligation_key emits back-references by node identity, so a second
+    # object for one structure changes the key (and a warm cache misses).
+    def keys():
+        I.clear_memos()
+        return SoundnessChecker().suite_obligation_keys(optimizations=ALL_OPTIMIZATIONS)
+
+    expected = keys()
+    assert expected
+
+    def loop():
+        return [keys() for _ in range(10)]
+
+    for runs in _race(loop, threads=2):
+        assert all(run == expected for run in runs)

@@ -13,11 +13,13 @@ import time
 import pytest
 
 from repro.cobalt.labels import standard_registry
+from repro.logic.formulas import And, Forall, Implies, Pred
+from repro.logic.terms import App, LVar
 from repro.prover import ProverConfig
 from repro.api import VerifyOptions
 from repro.verify import SoundnessChecker
 from repro.verify.checker import discharge_obligation
-from repro.verify.obligations import ObligationBuilder
+from repro.verify.obligations import Obligation, ObligationBuilder
 from repro.verify.parallel import build_prover, discharge_parallel
 from repro.opts import (
     branch_fold,
@@ -90,19 +92,38 @@ class TestParallelMatchesSerial:
             assert left.canonical() == right.canonical(), opt.name
 
 
+def _endless_obligation() -> Obligation:
+    """An obligation no search can finish: the hypotheses grow the ``P``
+    facts without bound (``P(x) => P(s(x))``), and a two-trigger
+    multi-pattern makes every instantiation round quadratic in them.  The
+    goal ``R(z)`` does not follow, so only a resource limit ends the
+    search -- however fast the prover gets."""
+    x, y = LVar("x"), LVar("y")
+    facts = tuple(Pred("P", (App(f"c{i}"),)) for i in range(20))
+    pairs = Forall(
+        ("x", "y"),
+        Implies(And((Pred("P", (x,)), Pred("P", (y,)))), Pred("Q", (App("pair", (x, y)),))),
+        triggers=((App("P", (x,)), App("P", (y,))),),
+    )
+    grow = Forall(
+        ("x",),
+        Implies(Pred("P", (x,)), Pred("P", (App("s", (x,)),))),
+        triggers=((App("P", (x,)),),),
+    )
+    return Obligation("endless", Implies(And(facts + (pairs, grow)), Pred("R", (App("z"),))))
+
+
 class TestTimeouts:
     def test_hard_timeout_yields_unknown_not_hang(self):
-        # deadAssignElim's B3 takes ~10s of search at full budget; with a
-        # 0.3s hard wall-clock cap the caller must get an ``unknown``
-        # verdict back promptly while the worker self-terminates via the
-        # prover's (short) cooperative timeout.
-        obligations = ObligationBuilder(standard_registry()).backward_obligations(
-            dae.pattern
-        )[2:3]
-        config = ProverConfig(timeout_s=3.0)
+        # Round and instance limits are lifted, so the worker's search can
+        # only stop at the prover's cooperative 3s timeout; the 0.3s hard
+        # wall-clock cap must answer ``unknown`` long before that.
+        config = ProverConfig(
+            timeout_s=3.0, max_rounds=10**6, max_instances=10**9, max_decisions=10**9
+        )
         start = time.monotonic()
         results = discharge_parallel(
-            "deadAssignElim", obligations, config, jobs=1, hard_timeout_s=0.3
+            "endless", [_endless_obligation()], config, jobs=1, hard_timeout_s=0.3
         )
         elapsed = time.monotonic() - start
         assert len(results) == 1
@@ -110,14 +131,24 @@ class TestTimeouts:
         assert any("hard timeout" in line for line in results[0].context)
         assert elapsed < 10.0, "hard timeout did not cut the wait short"
 
-    def test_prover_timeout_yields_unknown(self):
-        # The cooperative path: a tiny prover budget answers unknown.
-        checker = SoundnessChecker(
-            config=ProverConfig(timeout_s=0.01), options=VerifyOptions(jobs=2)
+    def test_prover_timeout_yields_unknown(self, monkeypatch):
+        # The cooperative path: a tiny prover budget answers unknown.  The
+        # pattern's obligations are swapped for one no search can finish
+        # (with every other limit lifted), so only the prover's own timeout
+        # can end it -- a faster prover cannot turn this into a proof.
+        monkeypatch.setattr(
+            ObligationBuilder,
+            "backward_obligations",
+            lambda self, pattern: [_endless_obligation()],
         )
+        config = ProverConfig(
+            timeout_s=0.01, max_rounds=10**6, max_instances=10**9, max_decisions=10**9
+        )
+        checker = SoundnessChecker(config=config, options=VerifyOptions(jobs=2))
         report = checker.check_pattern(dae.pattern)
         assert not report.sound
         assert all(not r.proved for r in report.results)
+        assert not any("hard timeout" in line for r in report.results for line in r.context)
 
 
 class TestFallbacks:

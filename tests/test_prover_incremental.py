@@ -265,7 +265,9 @@ def _explosive_setup():
     """~200 ground facts and a quadratic multi-pattern: one E-matching
     round enumerates ~40k bindings, so a tiny timeout necessarily fires
     *inside* ``_instantiate`` (or the scan that follows), not between
-    rounds."""
+    rounds.  A second axiom, ``P(x) => P(s(x))``, keeps adding ``P`` facts,
+    so the search never saturates: however fast the prover gets, only a
+    resource limit can end it."""
     x, y = LVar("x"), LVar("y")
     facts = [Pred("P", (App(f"c{i}"),)) for i in range(200)]
     axiom = Forall(
@@ -276,8 +278,13 @@ def _explosive_setup():
         ),
         triggers=((App("P", (x,)), App("P", (y,))),),
     )
+    grow = Forall(
+        ("x",),
+        Implies(Pred("P", (x,)), Pred("P", (App("s", (x,)),))),
+        triggers=((App("P", (x,)),),),
+    )
     goal = Implies(And(tuple(facts)), Pred("R", (App("z"),)))
-    return [axiom], goal
+    return [axiom, grow], goal
 
 
 @pytest.mark.parametrize("mode", MODES)
