@@ -5,7 +5,8 @@ has never verified the suite, but can reach a cache daemon another machine
 fed, replays the entire suite in under two seconds and at most two HTTP
 round trips — with a canonical report byte-identical to proving from
 scratch.  This harness measures the three regimes over the full shipped
-suite against a real daemon on a loopback socket:
+suite against an in-process ``repro serve`` daemon (its ``/v1/cache``
+routes over its own ``--cache-dir`` store) on a loopback socket:
 
 * **cold** — empty L1, no L2: full proof search;
 * **warm L1** — sharded on-disk store populated by the cold run;
@@ -13,10 +14,12 @@ suite against a real daemon on a loopback socket:
   the wire in one batched suite-level multi-GET.
 """
 
+import asyncio
 import threading
 import time
 
 from repro.api import ProverOptions, VerifyOptions, verify_suite
+from repro.service import ServiceServer
 
 CONFIG = ProverOptions(timeout_s=120)
 
@@ -27,19 +30,36 @@ def _run(**kwargs):
     return suite, time.monotonic() - start
 
 
-def test_tiered_cache(benchmark, tmp_path_factory):
-    from repro.verify.netcache import CacheServer
+def _start_daemon(store_dir):
+    """``repro --cache-dir STORE serve`` on an ephemeral loopback port."""
+    server = ServiceServer(
+        VerifyOptions(prover=CONFIG, cache_dir=str(store_dir)), port=0
+    )
+    started = threading.Event()
 
+    async def main():
+        await server.start()
+        started.set()
+        await server.serve_forever()
+
+    thread = threading.Thread(target=asyncio.run, args=(main(),), daemon=True)
+    thread.start()
+    assert started.wait(10), "daemon failed to start"
+    return server, thread
+
+
+def test_tiered_cache(benchmark, tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("proof-cache")
-    server = CacheServer(tmp_path_factory.mktemp("daemon-store"), port=0)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    server, thread = _start_daemon(tmp_path_factory.mktemp("daemon-store"))
+    url = f"http://127.0.0.1:{server.port}"
     try:
-        cold, cold_s = _run(cache_dir=str(cache_dir), cache_url=server.url)
+        cold, cold_s = _run(cache_dir=str(cache_dir), cache_url=url)
         warm_l1, warm_l1_s = _run(cache_dir=str(cache_dir))
-        warm_l2, warm_l2_s = _run(cache_url=server.url)
+        warm_l2, warm_l2_s = _run(cache_url=url)
     finally:
-        server.shutdown()
-        server.server_close()
+        server.request_stop()
+        thread.join(timeout=30)
+    assert not thread.is_alive(), "daemon did not stop"
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert not cold.failures()
@@ -83,5 +103,6 @@ def test_tiered_cache(benchmark, tmp_path_factory):
         "\n".join(lines),
         rows=rows,
         config={"prover_timeout_s": CONFIG.timeout_s,
-                "suite": "full shipped suite", "daemon": "loopback, 1 shard"},
+                "suite": "full shipped suite",
+                "daemon": "in-process repro serve, loopback, 1 shard"},
     )

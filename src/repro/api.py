@@ -125,11 +125,12 @@ class VerifyOptions:
     max_session_queries: int = 0
     #: obligation-level process-pool width (1 = serial)
     jobs: int = 1
-    #: persistent proof-cache location (directory for the sharded CAS, or a
-    #: .json file for the single-file store) — the L1 tier (docs/CACHING.md)
+    #: persistent proof-cache directory (the sharded CAS) — the L1 tier
+    #: (docs/CACHING.md); a file path is refused.  ``serve`` also serves it
+    #: to other machines as their L2 tier.
     cache_dir: Optional[str] = None
-    #: networked proof-cache daemon(s) — the L2 tier: one URL, a
-    #: comma-separated string, or a tuple of URLs (sharded by digest
+    #: ``repro serve`` daemon(s) whose proof cache is the L2 tier: one URL,
+    #: a comma-separated string, or a tuple of URLs (sharded by digest
     #: prefix).  Strictly fail-open: an unreachable daemon never fails or
     #: slows a verification beyond ``cache_timeout_s`` per attempt.
     cache_url: Optional[Union[str, Tuple[str, ...]]] = None

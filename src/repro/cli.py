@@ -10,8 +10,7 @@ Usage (also via ``python -m repro``)::
     repro-cobalt counterexample FILE.cobalt
     repro-cobalt [--jobs N] [--cache-dir DIR] [--cache-url URL] suite
     repro-cobalt [--jobs N] [--cache-dir DIR] [--cache-url URL] verify
-    repro-cobalt [--jobs N] serve [--host H] [--port N]
-    repro-cobalt cache serve [--dir DIR] [--port N]
+    repro-cobalt [--jobs N] [--cache-dir DIR] serve [--host H] [--port N]
     repro-cobalt cache stats [--dir DIR | --url URL]
     repro-cobalt cache gc [--dir DIR] [--drop-failures] [--max-age-days N]
 
@@ -30,13 +29,14 @@ Usage (also via ``python -m repro``)::
 * ``suite`` / ``verify`` verify the entire shipped optimization suite.
 * ``serve`` runs the verification daemon (docs/SERVICE.md): an asyncio
   HTTP/JSON service over the same façade, batching proof obligations
-  across concurrent requests into one shared worker pool.
+  across concurrent requests into one shared worker pool.  With
+  ``--cache-dir DIR`` it also serves DIR as the network proof cache.
 
 The global ``--jobs N`` flag fans proof obligations out across N worker
 processes; ``--cache-dir DIR`` persists verdicts in a sharded
 content-addressed store so unchanged optimizations re-verify in
-milliseconds, and ``--cache-url URL`` additionally consults (and feeds) a
-shared network cache daemon started with ``repro-cobalt cache serve`` —
+milliseconds, and ``--cache-url URL`` additionally consults (and feeds) the
+proof cache of a ``repro-cobalt --cache-dir DIR serve`` daemon —
 strictly fail-open, see docs/CACHING.md.  ``--backend internal|smtlib|portfolio`` selects the
 prover backend — the in-process prover, SMT-LIB2 emission through an
 external solver subprocess (``--solver-cmd`` overrides auto-discovery of
@@ -401,13 +401,6 @@ def cmd_serve(args) -> int:
     )
 
 
-def cmd_cache_serve(args) -> int:
-    from repro.verify.netcache import serve
-
-    return serve(args.dir, host=args.host, port=args.port,
-                 verbose=not args.quiet)
-
-
 def cmd_cache_stats(args) -> int:
     from repro.verify.cache import SCHEMA_VERSION
 
@@ -486,6 +479,17 @@ def cmd_cache_gc(args) -> int:
     return 0
 
 
+def _cache_dir_arg(value: str) -> str:
+    """``--cache-dir``/``--dir``: refuse file paths with the one-line hint."""
+    from repro.verify.cache import check_cache_dir
+
+    try:
+        check_cache_dir(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
     from repro.prover.kernels import kernel_identity
@@ -506,6 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="discharge proof obligations across N worker "
                              "processes (default: 1, serial)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
+                        type=_cache_dir_arg,
                         help="persist proof verdicts in DIR (a sharded "
                              "content-addressed store) so unchanged "
                              "optimizations re-verify from cache")
@@ -514,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "daemon — comma-separate several URLs to shard "
                              "by digest prefix; strictly fail-open: an "
                              "unreachable daemon never fails a run "
-                             "(see 'repro-cobalt cache serve')")
+                             "(any 'repro-cobalt --cache-dir DIR serve')")
     parser.add_argument("--cache-timeout", type=float, default=2.0,
                         metavar="S",
                         help="per-request timeout for the network cache "
@@ -666,28 +671,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("cache",
-                       help="operate the proof cache: serve it over HTTP, "
-                            "inspect it, garbage-collect it")
+                       help="operate the proof cache: inspect it, "
+                            "garbage-collect it")
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
-
-    q = cache_sub.add_parser("serve",
-                             help="serve a cache directory to other "
-                                  "machines/runs over HTTP (fail-open "
-                                  "clients; see docs/CACHING.md)")
-    q.add_argument("--dir", default=".proof-cache", metavar="DIR",
-                   help="cache directory to serve (default: .proof-cache)")
-    q.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default: 127.0.0.1)")
-    q.add_argument("--port", type=int, default=8417,
-                   help="bind port (default: 8417)")
-    q.add_argument("--quiet", action="store_true",
-                   help="suppress per-request log lines")
-    q.set_defaults(fn=cmd_cache_serve)
 
     q = cache_sub.add_parser("stats",
                              help="object counts for a cache directory or "
                                   "a running daemon")
     q.add_argument("--dir", default=".proof-cache", metavar="DIR",
+                   type=_cache_dir_arg,
                    help="cache directory to inspect (default: .proof-cache)")
     q.add_argument("--url", default=None, metavar="URL",
                    help="ask a running daemon instead of reading a "
@@ -701,6 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="drop stale verdicts from a cache "
                                   "directory")
     q.add_argument("--dir", default=".proof-cache", metavar="DIR",
+                   type=_cache_dir_arg,
                    help="cache directory to collect (default: .proof-cache)")
     q.add_argument("--drop-failures", action="store_true",
                    help="also drop unknown/failed verdicts (they are "

@@ -1,23 +1,28 @@
 """The daemon's HTTP face: a small hand-rolled asyncio HTTP/1.1 server.
 
 The stdlib has no asyncio HTTP server, so this module speaks just enough
-HTTP/1.1 over :func:`asyncio.start_server` for the service's five routes:
+HTTP/1.1 over :func:`asyncio.start_server` for the service's routes:
 
-========================== =================================================
-``GET /v1/healthz``        liveness probe
-``GET /v1/stats``          broker/cache/job/rate-limit counters
-``POST /v1/jobs``          submit a ``job_request`` envelope (rate limited);
-                           ``"wait": true`` blocks for the final report
-``GET /v1/jobs/<id>``      poll one job (status + result when done)
-``GET /v1/jobs/<id>/events`` chunked ndjson stream of the job's events
-========================== =================================================
+================================== =========================================
+``GET /v1/healthz``                liveness probe
+``GET /v1/stats``                  broker/cache/job/rate-limit counters
+``POST /v1/jobs``                  submit a ``job_request`` envelope (rate
+                                   limited); ``"wait": true`` blocks for the
+                                   final report
+``GET /v1/jobs/<id>``              poll one job (status + result when done)
+``GET /v1/jobs/<id>/events``       chunked ndjson stream of the job's events
+``POST /v1/cache/v<N>/multi-get``  the L2 proof cache over the daemon's own
+``POST /v1/cache/v<N>/multi-put``  ``--cache-dir`` store (404 without one, or
+``GET /v1/cache/v<N>/stats``       for another cache schema ``N``); client:
+                                   :mod:`repro.verify.netcache`
+================================== =========================================
 
 Design rules:
 
 * The event loop only ever parses HTTP and shuffles bytes.  Everything
   that can block — request validation, job execution, waiting on job
-  events — happens on worker threads (the service's job pool, or
-  ``asyncio.to_thread`` bridges into :meth:`Job.wait_events`).
+  events, proof-cache store reads and writes — happens on worker threads
+  (the service's job pool, or ``asyncio.to_thread`` bridges).
 * Malformed input is a *response*, never an exception escaping the
   handler: oversized request lines and bodies get 413, unparsable JSON
   and wire-schema violations get 400, and the connection is closed
@@ -42,6 +47,9 @@ from repro.api import VerifyOptions
 from repro.service.jobs import Job, ServiceOverloadedError, VerificationService
 from repro.service.ratelimit import RateLimiter
 from repro.service.wire import WIRE_VERSION, WireError, dumps, envelope
+from repro.verify.cache import SCHEMA_VERSION as CACHE_SCHEMA, CachedVerdict
+from repro.verify.cas import ShardedStore
+from repro.verify.netcache import CACHE_ROUTE_PREFIX
 
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_BYTES = 32 * 1024
@@ -124,6 +132,11 @@ class ServiceServer:
             batch_window_s=batch_window_s,
         )
         self.limiter = limiter if limiter is not None else RateLimiter(rate, burst)
+        # The L2 proof cache this daemon serves: its own --cache-dir store.
+        cache_dir = self.service.options.cache_dir
+        self.store: Optional[ShardedStore] = (
+            ShardedStore(cache_dir, CACHE_SCHEMA) if cache_dir else None
+        )
         # The per-address aggregate behind the per-client buckets: a client
         # rotating X-Repro-Client values still drains this one.
         self._addr_limiter = RateLimiter(
@@ -320,8 +333,67 @@ class ServiceServer:
             else:
                 await self._poll(rest, writer)
             return
+        if path.startswith(CACHE_ROUTE_PREFIX + "/"):
+            await self._cache(method, path[len(CACHE_ROUTE_PREFIX):], body,
+                              writer)
+            return
         writer.write(_error(404, f"no such route: {path}"))
         await writer.drain()
+
+    async def _cache(self, method, route, body, writer) -> None:
+        """One L2 proof-cache request; the store is touched off-loop."""
+        handlers = {
+            f"/v{CACHE_SCHEMA}/multi-get": ("POST", self._cache_multi_get),
+            f"/v{CACHE_SCHEMA}/multi-put": ("POST", self._cache_multi_put),
+            f"/v{CACHE_SCHEMA}/stats": ("GET", self._cache_stats),
+        }
+        verb, handler = handlers.get(route, (None, None))
+        if self.store is None or handler is None:
+            # No --cache-dir, another cache schema, or an unknown op: the
+            # client reads a 404 as honest misses, never as a fault.
+            writer.write(_error(404, f"no proof cache at /v1/cache{route}"))
+        elif method != verb:
+            writer.write(_error(405, f"use {verb}"))
+        else:
+            try:
+                data = json.loads(body.decode("utf-8")) if body else {}
+                payload = await asyncio.to_thread(handler, data)
+            except ValueError as exc:  # bad UTF-8, JSON, or body shape
+                writer.write(_error(400, f"bad cache request: {exc}"))
+            else:
+                writer.write(_response(200, payload))
+        await writer.drain()
+
+    def _cache_multi_get(self, data) -> dict:
+        keys = data.get("keys") if isinstance(data, dict) else None
+        if not isinstance(keys, list):
+            raise ValueError('body must be {"keys": [...]}')
+        entries = {}
+        for key in keys:
+            entry = self.store.get(key)  # None for unsafe keys too
+            if entry is not None:
+                entries[key] = entry
+        return {"schema": CACHE_SCHEMA, "entries": entries}
+
+    def _cache_multi_put(self, data) -> dict:
+        entries = data.get("entries") if isinstance(data, dict) else None
+        if not isinstance(entries, dict):
+            raise ValueError('body must be {"entries": {...}}')
+        stored = 0
+        for key, entry in entries.items():
+            # Store only what parses as a verdict, in its normal form: a
+            # malformed entry (say, a non-boolean "proved") must never be
+            # replayed by a later reader.
+            try:
+                verdict = CachedVerdict.from_json(entry)
+            except (KeyError, TypeError, ValueError):
+                continue
+            if self.store.put(key, verdict.to_json()):
+                stored += 1
+        return {"schema": CACHE_SCHEMA, "stored": stored}
+
+    def _cache_stats(self, _data) -> dict:
+        return {"schema": CACHE_SCHEMA, "objects": self.store.count()}
 
     def _stats_payload(self) -> dict:
         stats = self.service.stats_wire()

@@ -25,12 +25,10 @@ The store behind the verdicts is tiered (docs/CACHING.md):
 * **L1** — a sharded on-disk CAS (:mod:`repro.verify.cas`):
   ``objects/<key[:2]>/<key>.json``, one atomically-written file per
   verdict, so concurrent runs sharing a ``--cache-dir`` compose with
-  per-verdict last-writer-wins instead of clobbering a monolithic file.
-  The pre-tier single-file format (``proof-cache.json``) is migrated into
-  the CAS once on first open, and remains supported when the cache path
-  names a ``.json`` file directly — with a merge-on-save fix so two
-  concurrent runs no longer drop each other's entries.
-* **L2** — optional networked daemons (:mod:`repro.verify.netcache`),
+  per-verdict last-writer-wins.  It is the only on-disk form: a cache
+  path that is a file (or ends in ``.json``) is refused with a hint.
+* **L2** — optional ``repro serve`` daemons whose own ``--cache-dir``
+  store is served under ``/v1/cache`` (client: :mod:`repro.verify.netcache`),
   consulted through one batched multi-GET (:meth:`ProofCache.prefetch`)
   and fed by write-behind publication of fresh proofs on
   :meth:`ProofCache.save`.  Strictly fail-open: any network fault falls
@@ -46,10 +44,7 @@ never fatal: a crashed run can never poison later ones.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import sys
-import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,7 +62,20 @@ from repro.verify.cas import ShardedStore
 #: proved by an external solver replay only under the same identity.
 SCHEMA_VERSION = 4
 
-CACHE_FILENAME = "proof-cache.json"
+
+def check_cache_dir(path: Union[str, os.PathLike]) -> Path:
+    """``path`` as a cache directory, or ValueError with a one-line hint.
+
+    The sharded store is the only on-disk form, so a path naming a file,
+    or a ``.json`` path that reads as one, is refused rather than silently
+    turned into an empty store beside what the caller meant."""
+    path = Path(path)
+    if path.suffix == ".json" or path.is_file():
+        raise ValueError(
+            f"proof cache location {str(path)!r} is a file or .json path; "
+            f"pass a directory (verdicts live under DIR/objects/)"
+        )
+    return path
 
 
 def config_fingerprint(
@@ -264,8 +272,15 @@ class CachedVerdict:
 
     @classmethod
     def from_json(cls, data: dict) -> "CachedVerdict":
+        """Parse one stored entry; ValueError/KeyError/TypeError when it is
+        malformed (callers read those as absent).  ``proved`` must be a JSON
+        boolean: entries arrive from the network tier, and truthiness would
+        replay ``"false"`` or ``1`` as a proof."""
+        proved = data["proved"]
+        if not isinstance(proved, bool):
+            raise ValueError(f"'proved' must be a boolean, got {proved!r}")
         return cls(
-            proved=bool(data["proved"]),
+            proved=proved,
             elapsed_s=float(data.get("elapsed_s", 0.0)),
             context=[str(line) for line in data.get("context", [])],
             config=str(data.get("config", "")),
@@ -336,36 +351,12 @@ class CacheStats:
                 f"{self.stale} stale, {self.stores} store(s)")
 
 
-def _read_monolithic(path: Path) -> Dict[str, CachedVerdict]:
-    """Entries of a single-file store; {} for absent/corrupt/wrong schema."""
-    try:
-        raw = path.read_text()
-    except OSError:
-        return {}
-    out: Dict[str, CachedVerdict] = {}
-    try:
-        data = json.loads(raw)
-        if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
-            return {}
-        for key, entry in data.get("entries", {}).items():
-            out[str(key)] = CachedVerdict.from_json(entry)
-    except (ValueError, KeyError, TypeError):
-        return {}
-    return out
-
-
 class ProofCache:
     """The tiered verdict store keyed by :func:`obligation_key`.
 
-    ``path`` selects the on-disk (L1) representation:
-
-    * a directory (the conventional ``--cache-dir``) — the sharded CAS,
-      with a one-shot migration of any pre-existing monolithic
-      ``proof-cache.json`` found inside it;
-    * a ``.json`` path, or a path that already exists as a plain file —
-      the single-file store (kept for direct-file callers), saved with a
-      re-read-and-merge so concurrent writers union instead of clobber;
-    * ``None`` — memory-only (the L0 map, nothing persisted).
+    ``path`` is the on-disk (L1) directory — the sharded CAS — or ``None``
+    for memory-only (the L0 map, nothing persisted).  A path naming a file
+    is refused (:func:`check_cache_dir`).
 
     ``remote`` is an optional :class:`repro.verify.netcache.CacheClient`
     (L2): :meth:`prefetch` pulls misses in one batched multi-GET and
@@ -389,121 +380,32 @@ class ProofCache:
         #: reverse, so the pair cannot deadlock.
         self._net_lock = threading.Lock()
         self._entries: Dict[str, CachedVerdict] = {}  # L0
-        self._store: Optional[ShardedStore] = None  # L1 (CAS form)
-        self._legacy = False  # L1 is the single-file form
+        self._store: Optional[ShardedStore] = None  # L1
         self._dirty: Set[str] = set()  # locally produced, pending L1 write
         self._fetched: Set[str] = set()  # pulled from L2, pending L1 write
         self._unpublished: Set[str] = set()  # proofs pending L2 publication
         self._remote_seen: Set[str] = set()  # keys already asked of L2
-        self._cleared = False
-        if path is None:
-            self.file: Optional[Path] = None
-            return
-        path = Path(path)
-        if path.suffix == ".json" or path.is_file():
-            self.file = path
-            self._legacy = True
-            self._entries = _read_monolithic(path)
-        else:
-            self.file = path
-            self._store = ShardedStore(path, SCHEMA_VERSION)
-            self._migrate_monolithic()
+        if path is not None:
+            self._store = ShardedStore(check_cache_dir(path), SCHEMA_VERSION)
 
     # -- persistence ---------------------------------------------------------
-
-    def _migrate_monolithic(self) -> None:
-        """One-shot import of a pre-CAS ``proof-cache.json`` into the store.
-
-        The old file is renamed (never deleted) once imported, so the
-        migration runs at most once per directory; keys already present in
-        the CAS win (they are newer)."""
-        assert self._store is not None
-        legacy = self._store.root / CACHE_FILENAME
-        if not legacy.is_file():
-            return
-        imported = 0
-        for key, entry in _read_monolithic(legacy).items():
-            if not self._store.has(key) and self._store.put(key, entry.to_json()):
-                imported += 1
-        try:
-            legacy.rename(legacy.with_name(CACHE_FILENAME + ".migrated"))
-        except OSError:
-            return  # unwritable: harmless, the has() checks keep it idempotent
-        if imported:
-            print(
-                f"[proof-cache] migrated {imported} verdict(s) from {legacy} "
-                f"into the sharded store",
-                file=sys.stderr,
-            )
 
     def save(self) -> None:
         """Persist pending verdicts to L1 and publish fresh proofs to L2.
 
-        In CAS form each pending verdict is one atomic file write — no
-        whole-store rewrite, nothing another run wrote is touched.  In the
-        single-file form the on-disk file is re-read and unioned first
-        (newest wins per key: our freshly-put keys beat the file, the file
-        beats our stale loads), so concurrent runs merge instead of
-        dropping each other's stores.  All network faults are swallowed."""
+        Each pending verdict is one atomic file write — no whole-store
+        rewrite, nothing another run wrote is touched.  All network faults
+        are swallowed."""
         with self._lock:
-            if self._legacy:
-                self._save_monolithic()
-            elif self._store is not None:
+            if self._store is not None:
                 for key in sorted(self._dirty | self._fetched):
                     self._store.put(key, self._entries[key].to_json())
-                self._dirty.clear()
-                self._fetched.clear()
-            else:
-                self._dirty.clear()
-                self._fetched.clear()
+            self._dirty.clear()
+            self._fetched.clear()
         # Publication happens outside the instance lock for the same
         # reason prefetch releases it: a slow L2 multi-PUT must never
         # block other threads' get/put on the shared cache.
         self._flush_remote()
-
-    def _save_monolithic(self) -> None:
-        assert self.file is not None
-        if not self._dirty and not self._fetched and not self._cleared:
-            return
-        try:
-            self.file.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            # The cache is an accelerator, never a correctness requirement:
-            # an unwritable location must not discard a finished verification.
-            print(f"[proof-cache] not persisted: {exc}", file=sys.stderr)
-            return
-        if self._cleared:
-            merged = dict(self._entries)
-        else:
-            # Merge-on-save: another run may have rewritten the file since
-            # we loaded it.  Union per key, newest wins: keys we put() this
-            # session are ours; everything else defers to the file.
-            fresh = self._dirty | self._fetched
-            merged = dict(self._entries)
-            for key, entry in _read_monolithic(self.file).items():
-                if key not in fresh:
-                    merged[key] = entry
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "entries": {k: v.to_json() for k, v in sorted(merged.items())},
-        }
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.file.parent), prefix=self.file.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=0, sort_keys=True)
-            os.replace(tmp, self.file)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._entries = merged
-        self._dirty.clear()
-        self._fetched.clear()
-        self._cleared = False
 
     def _flush_remote(self) -> None:
         """Write-behind publication: one batched multi-PUT of new proofs.
@@ -545,8 +447,8 @@ class ProofCache:
     def location(self) -> str:
         """Human-readable description of the configured tiers."""
         parts = []
-        if self.file is not None:
-            parts.append(str(self.file))
+        if self._store is not None:
+            parts.append(str(self._store.root))
         if self.remote is not None:
             parts.append(self.remote.describe())
         return " + ".join(parts) if parts else "<memory>"
@@ -656,8 +558,7 @@ class ProofCache:
             existing = self._lookup(key)
             if existing is not None and existing.same_payload(entry):
                 # Identical verdict already stored: re-writing it would churn
-                # bytes (and, in the single-file form, force a full rewrite)
-                # for no information.
+                # bytes for no information.
                 return
             self._entries[key] = entry
             self._dirty.add(key)
@@ -674,4 +575,3 @@ class ProofCache:
             self._unpublished.clear()
             if self._store is not None:
                 self._store.clear()
-            self._cleared = True

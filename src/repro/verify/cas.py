@@ -7,12 +7,11 @@ key and sharded by digest prefix::
     <root>/objects/<key[:2]>/<key>.json
 
 Each object is written atomically (temp file + rename), so concurrent
-writers — two verification runs sharing a ``--cache-dir``, or the cache
-daemon taking PUTs while a local run saves — compose with plain
-last-writer-wins semantics per verdict instead of the whole-file clobbering
-the old monolithic ``proof-cache.json`` suffered from.  Since two writers
-of the same key hold the *same* content-addressed verdict (modulo timing
-metadata), last-writer-wins is lossless.
+writers — two verification runs sharing a ``--cache-dir``, or a ``repro
+serve`` daemon taking multi-PUTs while a local run saves — compose with
+plain last-writer-wins semantics per verdict, never clobbering each other.
+Since two writers of the same key hold the *same* content-addressed
+verdict (modulo timing metadata), last-writer-wins is lossless.
 
 Every object file embeds the cache schema version; objects written by a
 different schema are unreadable and treated as absent, never misparsed.

@@ -1,214 +1,45 @@
-"""Networked proof-cache tier (L2): a CAS daemon and its fail-open client.
+"""Networked proof-cache tier (L2): the fail-open client.
 
 Proved verdicts are immutable, content-addressed artifacts — treat them
-like a CDN would.  ``repro cache serve`` exposes a :class:`ShardedStore`
-over a tiny stdlib-only HTTP/1.1 protocol, so CI, a worker fleet, and
-every developer machine can replay one shared proof corpus:
+like a CDN would.  Any ``repro --cache-dir DIR serve`` exposes its
+sharded store (:class:`repro.verify.cas.ShardedStore`) next to the job
+routes (:mod:`repro.service.server`), so CI, a worker fleet, and every
+developer machine can replay one shared proof corpus:
 
-    GET  /v<schema>/objects/<key>  -> 200 {"schema": N, "entry": {...}} | 404
-    PUT  /v<schema>/objects/<key>  <- {"entry": {...}}   -> 204
-    POST /v<schema>/multi-get      <- {"keys": [...]}    -> {"schema": N, "entries": {...}}
-    POST /v<schema>/multi-put      <- {"entries": {...}} -> {"stored": n}
-    GET  /v<schema>/stats          -> 200 {"schema": N, "objects": n}
+    POST /v1/cache/v<schema>/multi-get  <- {"keys": [...]}    -> {"schema": N, "entries": {...}}
+    POST /v1/cache/v<schema>/multi-put  <- {"entries": {...}} -> {"schema": N, "stored": n}
+    GET  /v1/cache/v<schema>/stats      -> {"schema": N, "objects": n}
 
 The cache schema version is baked into every path: a daemon serving a
-different schema answers 404 and the client sees a miss — never a
-misparsed verdict.
+different schema (or no cache directory at all) answers 404 and the
+client sees a miss — never a misparsed verdict.
 
-The client side is built for the checker's access pattern: one *batched*
+The client is built for the checker's access pattern: one *batched*
 multi-GET per suite (read-through), one batched multi-PUT of fresh proofs
-(write-behind), over kept-alive connections with hard request timeouts.
-Multiple upstreams are sharded by digest prefix, mirroring the on-disk
-layout.  Above all it is **fail-open**: any network fault — refused
-connection, wedged socket, mid-stream disconnect, corrupt response —
-silently degrades that upstream to "dead" and the caller falls back to
-L1/L0 or live proving.  The cache is an accelerator, never a correctness
-dependency; no network error ever reaches the checker.
+(write-behind), one connection per request (the daemon answers
+``Connection: close``) with hard request timeouts.  Multiple upstreams
+are sharded by digest prefix, mirroring the on-disk layout.  Above all it
+is **fail-open**: any network fault — refused connection, wedged socket,
+mid-stream disconnect, corrupt response — silently degrades that upstream
+to "dead" and the caller falls back to L1/L0 or live proving.  The cache
+is an accelerator, never a correctness dependency; no network error ever
+reaches the checker.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
-import re
-import socket
 import urllib.parse
 import zlib
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.verify.cache import SCHEMA_VERSION
-from repro.verify.cas import ShardedStore, safe_key
 
-#: Request-body hard caps (the daemon is not a general web server).
-_MAX_BODY_BYTES = 64 * 1024 * 1024
-_MAX_BATCH_KEYS = 100_000
+#: Every cache route lives under this prefix on a ``repro serve`` daemon.
+CACHE_ROUTE_PREFIX = "/v1/cache"
 
-DEFAULT_PORT = 8417
 DEFAULT_TIMEOUT_S = 2.0
-
-
-# ---------------------------------------------------------------------------
-# Daemon
-# ---------------------------------------------------------------------------
-
-
-class CacheRequestHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # keep-alive: clients reuse connections
-    server_version = "repro-cache"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
-
-    # -- helpers ------------------------------------------------------------
-
-    def _route(self) -> Optional[str]:
-        """Strip the schema prefix; None when the schema does not match."""
-        prefix = f"/v{self.server.schema}/"
-        path = urllib.parse.urlsplit(self.path).path
-        if not path.startswith(prefix):
-            return None
-        return path[len(prefix):]
-
-    def _reply(self, code: int, payload: Optional[dict] = None) -> None:
-        body = b"" if payload is None else json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
-
-    def _read_json(self) -> Optional[dict]:
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            return None
-        if length < 0 or length > _MAX_BODY_BYTES:
-            return None
-        try:
-            data = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, OSError):
-            return None
-        return data if isinstance(data, dict) else None
-
-    # -- verbs --------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        route = self._route()
-        if route is None:
-            self._reply(404, {"error": "unknown schema or path"})
-        elif route == "stats":
-            self._reply(
-                200,
-                {"schema": self.server.schema,
-                 "objects": self.server.store.count()},
-            )
-        elif route.startswith("objects/"):
-            key = route[len("objects/"):]
-            entry = self.server.store.get(key) if safe_key(key) else None
-            if entry is None:
-                self._reply(404, {"error": "absent"})
-            else:
-                self._reply(200, {"schema": self.server.schema, "entry": entry})
-        else:
-            self._reply(404, {"error": "unknown path"})
-
-    def do_PUT(self) -> None:  # noqa: N802
-        route = self._route()
-        body = self._read_json()
-        if route is None or not route.startswith("objects/"):
-            self._reply(404, {"error": "unknown schema or path"})
-            return
-        key = route[len("objects/"):]
-        entry = (body or {}).get("entry")
-        if not safe_key(key) or not isinstance(entry, dict):
-            self._reply(400, {"error": "bad key or entry"})
-            return
-        self.server.store.put(key, entry)
-        self._reply(204)
-
-    def do_POST(self) -> None:  # noqa: N802
-        route = self._route()
-        body = self._read_json()
-        if route is None:
-            self._reply(404, {"error": "unknown schema or path"})
-            return
-        if body is None:
-            self._reply(400, {"error": "bad json body"})
-            return
-        if route == "multi-get":
-            keys = body.get("keys")
-            if not isinstance(keys, list) or len(keys) > _MAX_BATCH_KEYS:
-                self._reply(400, {"error": "bad keys"})
-                return
-            entries = {}
-            for key in keys:
-                if safe_key(key):
-                    entry = self.server.store.get(key)
-                    if entry is not None:
-                        entries[key] = entry
-            self._reply(200, {"schema": self.server.schema, "entries": entries})
-        elif route == "multi-put":
-            entries = body.get("entries")
-            if not isinstance(entries, dict) or len(entries) > _MAX_BATCH_KEYS:
-                self._reply(400, {"error": "bad entries"})
-                return
-            stored = 0
-            for key, entry in entries.items():
-                if safe_key(key) and isinstance(entry, dict):
-                    if self.server.store.put(key, entry):
-                        stored += 1
-            self._reply(200, {"schema": self.server.schema, "stored": stored})
-        else:
-            self._reply(404, {"error": "unknown path"})
-
-
-class CacheServer(ThreadingHTTPServer):
-    """``repro cache serve``: a :class:`ShardedStore` behind HTTP."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, directory, host: str = "127.0.0.1", port: int = 0,
-                 *, verbose: bool = False) -> None:
-        self.store = ShardedStore(directory, SCHEMA_VERSION)
-        self.schema = SCHEMA_VERSION
-        self.verbose = verbose
-        #: accepted TCP connections — observable proof of keep-alive reuse
-        self.connections = 0
-        super().__init__((host, port), CacheRequestHandler)
-
-    def process_request(self, request, client_address):
-        self.connections += 1
-        super().process_request(request, client_address)
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-
-def serve(directory, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
-          *, verbose: bool = True) -> int:
-    """Run the cache daemon until interrupted (the CLI entry point)."""
-    server = CacheServer(directory, host, port, verbose=verbose)
-    print(f"[cache-serve] listening on {server.url} "
-          f"(store: {directory}, schema v{SCHEMA_VERSION})", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Client
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -229,19 +60,8 @@ class ClientStats:
                 f"{self.errors} error(s)")
 
 
-#: Connection-level faults worth one reconnect: the server closed an idle
-#: keep-alive socket under us.  Timeouts are deliberately *not* retried — a
-#: wedged upstream must cost one timeout, not two.
-_RECONNECT_ERRORS = (
-    ConnectionResetError,
-    BrokenPipeError,
-    http.client.RemoteDisconnected,
-    http.client.CannotSendRequest,
-)
-
-
 class _Upstream:
-    """One daemon endpoint: a kept-alive connection plus a liveness bit."""
+    """One daemon endpoint plus a liveness bit."""
 
     def __init__(self, url: str, timeout_s: float) -> None:
         if "://" not in url:
@@ -255,48 +75,35 @@ class _Upstream:
         self.url = f"http://{self.host}:{self.port}{self.base}"
         self.timeout_s = timeout_s
         self.alive = True
-        self._conn: Optional[http.client.HTTPConnection] = None
-
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout_s
-            )
-        return self._conn
-
-    def close(self) -> None:
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            try:
-                conn.close()
-            except Exception:
-                pass
 
     def request(self, method: str, path: str,
                 payload: Optional[dict] = None) -> Optional[Tuple[int, bytes]]:
-        """One request over the kept-alive connection; None on any fault.
+        """One request on a fresh connection; None on any fault.
 
-        A stale keep-alive socket gets exactly one reconnect; every other
-        fault (refused, timeout, mid-stream error) marks the upstream dead
-        so later batches skip it entirely — fail-open, never fail-slow."""
+        Every fault (refused, timeout, mid-stream error) marks the upstream
+        dead so later batches skip it entirely — fail-open, never
+        fail-slow.  Nothing is retried: a wedged upstream costs one
+        timeout, not two."""
+        # Imported here: the daemon imports this module for its route
+        # prefix, and only a client ever needs the HTTP client stack.
+        import http.client
+
         body = None if payload is None else json.dumps(payload).encode()
-        for attempt in (0, 1):
-            try:
-                conn = self._connection()
-                conn.request(
-                    method, self.base + path, body=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                response = conn.getresponse()
-                data = response.read()
-                return response.status, data
-            except Exception as exc:
-                self.close()
-                if attempt == 0 and isinstance(exc, _RECONNECT_ERRORS):
-                    continue
-                self.alive = False
-                return None
-        return None
+        conn = http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout_s
+        )
+        try:
+            conn.request(
+                method, self.base + path, body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            return response.status, response.read()
+        except Exception:
+            self.alive = False
+            return None
+        finally:
+            conn.close()
 
 
 class CacheClient:
@@ -325,10 +132,6 @@ class CacheClient:
     def describe(self) -> str:
         return ",".join(u.url for u in self._upstreams)
 
-    def close(self) -> None:
-        for upstream in self._upstreams:
-            upstream.close()
-
     def shard_for(self, key: str) -> _Upstream:
         if len(self._upstreams) == 1:
             return self._upstreams[0]
@@ -349,7 +152,9 @@ class CacheClient:
         self.stats.requests += 1
         # The schema version is part of every path: a daemon serving a
         # different schema 404s and we see honest misses, never misparses.
-        out = upstream.request(method, f"/v{SCHEMA_VERSION}{path}", payload)
+        out = upstream.request(
+            method, f"{CACHE_ROUTE_PREFIX}/v{SCHEMA_VERSION}{path}", payload
+        )
         if out is None:
             self.stats.errors += 1
             return None
@@ -412,23 +217,6 @@ class CacheClient:
                 continue
             self.stats.published += len(group)
         return ok
-
-    def get(self, key: str) -> Optional[dict]:
-        """Single-object read (tools; the checker batches instead)."""
-        out = self._exchange(self.shard_for(key), "GET", f"/objects/{key}")
-        if out is None:
-            return None
-        status, payload = out
-        if status != 200 or not isinstance(payload, dict):
-            return None
-        entry = payload.get("entry")
-        return entry if isinstance(entry, dict) else None
-
-    def put(self, key: str, entry: dict) -> bool:
-        out = self._exchange(
-            self.shard_for(key), "PUT", f"/objects/{key}", {"entry": entry}
-        )
-        return out is not None and out[0] in (200, 204)
 
     def fetch_stats(self) -> List[Tuple[str, Optional[dict]]]:
         """Per-upstream ``/stats`` payloads (None for unreachable ones)."""

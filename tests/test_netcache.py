@@ -1,19 +1,23 @@
-"""The networked proof-cache tier (repro.verify.netcache).
+"""The networked proof-cache tier: ``repro serve``'s ``/v1/cache`` routes
+and the fail-open client in repro.verify.netcache.
 
 Two layers of contract:
 
-* wire level — the daemon serves/accepts verdict objects over the batched
-  JSON protocol, connections are kept alive (one TCP connection for many
-  round trips), multiple upstreams shard by digest prefix;
+* wire level — the daemon serves/accepts verdict objects from its own
+  ``--cache-dir`` store over the batched JSON protocol, refuses malformed
+  verdicts and unsafe keys, and multiple upstreams shard by digest prefix;
 * failure level — the client is *strictly fail-open*: a refused port, a
   wedged socket, a corrupt response, or a daemon dying mid-suite all
   degrade to cache misses, never exceptions, and the final verification
   report is byte-identical to a cache-off run.
 
-The end-to-end tests drive real ``verify_suite`` runs through a real
-daemon on a loopback socket and compare canonical reports.
+The end-to-end tests drive real ``verify_suite`` runs through an
+in-process daemon on a loopback socket and compare canonical reports.
 """
 
+import asyncio
+import http.client
+import json
 import socket
 import threading
 import time
@@ -23,9 +27,11 @@ import pytest
 
 from repro.api import ProverOptions, VerifyOptions, verify_suite
 from repro.opts import const_fold, const_prop
+from repro.service import ServiceServer
+from repro.verify import netcache
 from repro.verify.cache import SCHEMA_VERSION, ProofCache
-from repro.verify.netcache import CacheClient, CacheServer
 from repro.verify.cas import ShardedStore
+from repro.verify.netcache import CacheClient
 
 FAST = ProverOptions(timeout_s=60.0)
 MINI_SUITE = dict(analyses=[], optimizations=[const_prop, const_fold])
@@ -36,30 +42,65 @@ def _entry(proved=True, config="", backend="internal"):
             "config": config, "backend": backend}
 
 
+class _Daemon:
+    """An in-process ``repro [--cache-dir DIR] serve`` on an ephemeral port."""
+
+    def __init__(self, cache_dir=None) -> None:
+        options = VerifyOptions(
+            prover=FAST,
+            cache_dir=None if cache_dir is None else str(cache_dir),
+        )
+        self.server = ServiceServer(options, port=0)
+        started = threading.Event()
+
+        def run():
+            async def main():
+                await self.server.start()
+                started.set()
+                await self.server.serve_forever()
+
+            asyncio.run(main())
+
+        self.thread = threading.Thread(target=run, daemon=True)
+        self.thread.start()
+        assert started.wait(10), "daemon failed to start"
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server.port}"
+
+    @property
+    def store(self) -> ShardedStore:
+        return self.server.store
+
+    def post(self, path, payload):
+        conn = http.client.HTTPConnection("127.0.0.1", self.server.port,
+                                          timeout=10)
+        try:
+            conn.request("POST", path, body=json.dumps(payload).encode())
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    def stop(self) -> None:
+        self.server.request_stop()
+        self.thread.join(timeout=30)
+        assert not self.thread.is_alive(), "daemon did not stop"
+
+
 def _start(tmp_path, name="store"):
-    server = CacheServer(tmp_path / name, port=0)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server
+    return _Daemon(tmp_path / name)
 
 
 @pytest.fixture()
 def daemon(tmp_path):
     server = _start(tmp_path)
     yield server
-    server.shutdown()
-    server.server_close()
+    server.stop()
 
 
 class TestWireProtocol:
-    def test_single_object_round_trip(self, daemon):
-        client = CacheClient(daemon.url)
-        assert client.get("aabbcc") is None
-        assert client.put("aabbcc", _entry())
-        got = client.get("aabbcc")
-        assert got is not None and got["proved"] is True
-        # The object landed in the daemon's sharded store.
-        assert daemon.store.has("aabbcc")
-
     def test_batched_round_trip(self, daemon):
         client = CacheClient(daemon.url)
         entries = {f"aa{i:04x}": _entry() for i in range(8)}
@@ -67,15 +108,8 @@ class TestWireProtocol:
         found = client.multi_get(list(entries) + ["ffffff"])
         assert set(found) == set(entries)
         assert client.stats.published == 8
-
-    def test_connections_are_reused(self, daemon):
-        client = CacheClient(daemon.url)
-        for _ in range(5):
-            client.multi_get(["aa1111", "bb2222"])
-        client.put("cc3333", _entry())
-        assert client.stats.requests == 6
-        # Keep-alive: every round trip rode one TCP connection.
-        assert daemon.connections == 1
+        # The objects landed in the daemon's own --cache-dir store.
+        assert daemon.store.count() == 8
 
     def test_two_upstreams_shard_by_digest_prefix(self, tmp_path):
         even = _start(tmp_path, "even")
@@ -91,21 +125,64 @@ class TestWireProtocol:
                 "00aaaa", "ffbbbb"}
         finally:
             for server in (even, odd):
-                server.shutdown()
-                server.server_close()
+                server.stop()
 
-    def test_schema_mismatch_is_a_miss_not_poison(self, daemon):
+    def test_schema_mismatch_is_a_miss_not_poison(self, daemon, monkeypatch):
         daemon.store.put("aa1234", _entry())
         client = CacheClient(daemon.url)
-        daemon.schema = SCHEMA_VERSION + 1  # daemon now speaks v(N+1)
+        # The client now speaks v(N+1); the daemon serves vN only.
+        monkeypatch.setattr(netcache, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
         assert client.multi_get(["aa1234"]) == {}
         # A 404 is an honest miss; the upstream is not marked dead.
         assert client.alive
+        assert client.stats.misses == 1
 
     def test_unsafe_keys_rejected_by_daemon(self, daemon):
-        client = CacheClient(daemon.url)
-        assert not client.put("../escape", _entry())
+        status, body = daemon.post(
+            f"/v1/cache/v{SCHEMA_VERSION}/multi-put",
+            {"entries": {"../escape": _entry()}},
+        )
+        assert (status, body["stored"]) == (200, 0)
         assert not (daemon.store.root / ".." / "escape.json").exists()
+        assert daemon.store.count() == 0
+
+    def test_non_boolean_proved_is_not_stored(self, daemon):
+        # A network writer must not be able to plant an entry that a
+        # reader's truthiness check would replay as a proof.
+        status, body = daemon.post(
+            f"/v1/cache/v{SCHEMA_VERSION}/multi-put",
+            {"entries": {"aa0001": _entry(proved="false"),
+                         "aa0002": {"elapsed_s": 0.1},
+                         "aa0003": [],
+                         "aa0004": _entry()}},
+        )
+        assert (status, body["stored"]) == (200, 1)
+        assert daemon.store.has("aa0004") and not daemon.store.has("aa0001")
+
+    def test_malformed_requests_are_responses(self, daemon):
+        base = f"/v1/cache/v{SCHEMA_VERSION}"
+        assert daemon.post(f"{base}/multi-get", {"keys": "aa"})[0] == 400
+        assert daemon.post(f"{base}/multi-put", [])[0] == 400
+        assert daemon.post(f"{base}/stats", {})[0] == 405
+        assert daemon.post(f"{base}/objects", {})[0] == 404
+        # The daemon is still serving.
+        assert CacheClient(daemon.url).fetch_stats()[0][1]["objects"] == 0
+
+    def test_no_cache_dir_answers_404(self):
+        bare = _Daemon(cache_dir=None)
+        try:
+            client = CacheClient(bare.url)
+            assert client.multi_get(["aa1111", "bb2222"]) == {}
+            assert client.stats.misses == 2
+            assert client.stats.errors == 0
+            assert client.alive  # an honest miss, not a dead upstream
+            assert not client.publish({"aa1111": _entry()})
+            assert client.alive
+            status, _ = bare.post(f"/v1/cache/v{SCHEMA_VERSION}/multi-get",
+                                  {"keys": ["aa1111"]})
+            assert status == 404
+        finally:
+            bare.stop()
 
 
 class _GarbageHandler(BaseHTTPRequestHandler):
@@ -126,14 +203,12 @@ class _GarbageHandler(BaseHTTPRequestHandler):
 
     do_GET = _garbage
     do_POST = _garbage
-    do_PUT = _garbage
 
 
 class TestFailOpen:
     def test_refused_connection(self):
         client = CacheClient("http://127.0.0.1:1", timeout_s=0.5)
         assert client.multi_get(["aa1111"]) == {}
-        assert client.get("aa1111") is None
         assert not client.publish({"aa1111": _entry()})
         assert not client.alive
         # Dead upstreams are skipped without further round trips.
@@ -237,8 +312,7 @@ class TestEndToEnd:
         def kill_after_first(report):
             if not killed.is_set():
                 killed.set()
-                server.shutdown()
-                server.server_close()
+                server.stop()
 
         suite = verify_suite(
             VerifyOptions(prover=FAST, cache_url=server.url),

@@ -8,10 +8,10 @@ Covers the cache contract the parallel/cached checker relies on:
 * invalidation when an optimization's guards, witness, or the background
   axiom set change (the key covers all proof inputs);
 * ``unknown`` verdicts are config-scoped while ``proved`` ones are not;
-* a corrupted cache file is recovered from, never fatal;
+* a corrupted or malformed verdict object reads as absent, never fatal;
 * the sharded on-disk store (one file per verdict) merges concurrent
-  writers instead of clobbering, and the pre-CAS monolithic file is
-  migrated exactly once.
+  writers instead of clobbering, and is the only on-disk form: a file
+  path is refused with a one-line hint, at the API and the CLI.
 """
 
 import dataclasses
@@ -30,7 +30,6 @@ from repro.prover import ProverConfig
 from repro.api import VerifyOptions
 from repro.verify import ProofCache, SoundnessChecker
 from repro.verify.cache import (
-    CACHE_FILENAME,
     SCHEMA_VERSION,
     axioms_digest,
     config_fingerprint,
@@ -45,6 +44,16 @@ FAST = ProverConfig(timeout_s=60.0)
 
 def _obligations(pattern):
     return ObligationBuilder(standard_registry()).forward_obligations(pattern)
+
+
+def _cli(*argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=env, capture_output=True, text=True,
+    )
 
 
 @pytest.fixture()
@@ -247,18 +256,6 @@ class TestPrefetchLocking:
 
 
 class TestRobustness:
-    def test_corrupted_file_recovered(self, tmp_path):
-        # A corrupt pre-CAS monolithic file contributes nothing, never
-        # crashes, and is moved aside so it is not re-read forever.
-        path = tmp_path / CACHE_FILENAME
-        path.write_text('{"schema": 1, "entries": {truncated')
-        cache = ProofCache(tmp_path)
-        assert len(cache) == 0
-        cache.put("k", proved=True, elapsed_s=0.5)
-        cache.save()
-        assert not path.exists()
-        assert len(ProofCache(tmp_path)) == 1
-
     def test_corrupted_object_treated_as_absent(self, tmp_path):
         cache = ProofCache(tmp_path)
         cache.put("deadbeef", proved=True, elapsed_s=0.5)
@@ -269,10 +266,30 @@ class TestRobustness:
         assert fresh.get("deadbeef", "") is None
         assert fresh.stats.misses == 1
 
+    @staticmethod
+    def _write_object(root, schema=SCHEMA_VERSION, proved=True):
+        obj = root / "objects" / "aa" / "aa0001.json"
+        obj.parent.mkdir(parents=True)
+        obj.write_text(json.dumps({
+            "schema": schema,
+            "entry": {"proved": proved, "elapsed_s": 0.1, "context": [],
+                      "config": "", "backend": "internal"},
+        }))
+
     def test_wrong_schema_ignored(self, tmp_path):
-        path = tmp_path / CACHE_FILENAME
-        path.write_text(json.dumps({"schema": 999, "entries": {"k": {}}}))
-        assert len(ProofCache(tmp_path)) == 0
+        self._write_object(tmp_path, schema=999)
+        cache = ProofCache(tmp_path)
+        assert cache.get("aa0001", "") is None
+        assert cache.stats.misses == 1
+
+    @pytest.mark.parametrize("proved", ["false", "true", 1, 0, None])
+    def test_non_boolean_proved_reads_as_absent(self, tmp_path, proved):
+        # Entries can arrive from any network writer: only a JSON boolean
+        # is a verdict, never a truthy string or number.
+        self._write_object(tmp_path, proved=proved)
+        cache = ProofCache(tmp_path)
+        assert cache.get("aa0001", "") is None
+        assert cache.stats.misses == 1
 
     def test_missing_directory_created_on_save(self, tmp_path):
         root = tmp_path / "deep" / "nested"
@@ -286,25 +303,31 @@ class TestRobustness:
         cache = ProofCache(tmp_path)
         cache.save()
         assert not (tmp_path / "objects").exists()
-        assert not (tmp_path / CACHE_FILENAME).exists()
 
-    def test_direct_json_path_accepted(self, tmp_path):
-        cache = ProofCache(tmp_path / "verdicts.json")
-        cache.put("k", proved=True, elapsed_s=0.1)
-        cache.save()
-        assert (tmp_path / "verdicts.json").exists()
-        assert len(ProofCache(tmp_path / "verdicts.json")) == 1
+    def test_json_path_rejected_with_hint(self, tmp_path):
+        # A .json path is refused with one line pointing at a directory,
+        # not silently made into a store.
+        with pytest.raises(ValueError, match="pass a directory") as err:
+            ProofCache(tmp_path / "verdicts.json")
+        assert "\n" not in str(err.value)
+        assert not (tmp_path / "verdicts.json").exists()
+        out = _cli("--cache-dir", str(tmp_path / "verdicts.json"), "verify")
+        assert out.returncode == 2
+        assert "pass a directory" in out.stderr
+        assert "Traceback" not in out.stderr
 
-    def test_existing_plain_file_treated_as_cache_file(self, tmp_path):
+    def test_plain_file_rejected_with_hint(self, tmp_path):
         # ``--cache-dir some-existing-file`` must not crash trying to mkdir
-        # over the file; the path is taken as the cache file itself.
+        # over the file, nor take it as a cache: one line, exit 2.
         path = tmp_path / "cachefile"
         path.write_text("not json at all")
-        cache = ProofCache(path)
-        assert len(cache) == 0
-        cache.put("k", proved=True, elapsed_s=0.1)
-        cache.save()
-        assert len(ProofCache(path)) == 1
+        with pytest.raises(ValueError, match="pass a directory"):
+            ProofCache(path)
+        out = _cli("--cache-dir", str(path), "verify")
+        assert out.returncode == 2
+        assert "pass a directory" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert path.read_text() == "not json at all"
 
     def test_unwritable_location_degrades_to_warning(self, tmp_path, capsys):
         # Persisting into a location whose parent is a plain file cannot
@@ -317,69 +340,8 @@ class TestRobustness:
         assert "[proof-cache] not persisted" in capsys.readouterr().err
 
 
-class TestMigration:
-    def _monolithic(self, path, entries):
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "entries": {
-                k: {"proved": True, "elapsed_s": 0.1, "context": [],
-                    "config": "", "backend": "internal"}
-                for k in entries
-            },
-        }
-        path.write_text(json.dumps(payload))
-
-    def test_monolithic_migrated_once(self, tmp_path, capsys):
-        legacy = tmp_path / CACHE_FILENAME
-        self._monolithic(legacy, ["aaaa", "bbbb"])
-        cache = ProofCache(tmp_path)
-        err = capsys.readouterr().err
-        assert "migrated 2 verdict(s)" in err
-        assert not legacy.exists()
-        assert (tmp_path / (CACHE_FILENAME + ".migrated")).exists()
-        assert cache.get("aaaa", "") is not None
-        assert (tmp_path / "objects" / "aa" / "aaaa.json").exists()
-        # Second open: nothing left to migrate, no message.
-        again = ProofCache(tmp_path)
-        assert "migrated" not in capsys.readouterr().err
-        assert again.get("bbbb", "") is not None
-
-    def test_migration_does_not_clobber_newer_objects(self, tmp_path):
-        cas = ProofCache(tmp_path)
-        cas.put("aaaa", proved=False, elapsed_s=0.1, config_fp="newer")
-        cas.save()
-        self._monolithic(tmp_path / CACHE_FILENAME, ["aaaa", "bbbb"])
-        fresh = ProofCache(tmp_path)
-        hit = fresh.get("aaaa", "newer")
-        assert hit is not None and not hit.proved  # the CAS object won
-        assert fresh.get("bbbb", "") is not None  # the new key was imported
-
-
 class TestConcurrentWriters:
-    """Two caches over one location must union, not clobber (the old
-    monolithic save was last-writer-wins over the *whole file*)."""
-
-    def test_monolithic_interleaved_saves_merge(self, tmp_path):
-        path = tmp_path / "verdicts.json"
-        a = ProofCache(path)
-        b = ProofCache(path)  # loaded before a saves: sees an empty file
-        a.put("ka", proved=True, elapsed_s=0.1)
-        b.put("kb", proved=True, elapsed_s=0.2)
-        a.save()
-        b.save()  # must re-read and merge, not overwrite with {kb}
-        merged = ProofCache(path)
-        assert merged.get("ka", "") is not None
-        assert merged.get("kb", "") is not None
-
-    def test_monolithic_fresh_put_beats_file(self, tmp_path):
-        path = tmp_path / "verdicts.json"
-        a = ProofCache(path)
-        b = ProofCache(path)
-        a.put("k", proved=False, elapsed_s=0.1, config_fp="old")
-        a.save()
-        b.put("k", proved=False, elapsed_s=0.2, config_fp="new")
-        b.save()  # b's verdict for k is fresher than the file's
-        assert ProofCache(path).get("k", "new") is not None
+    """Two caches over one directory must union, not clobber."""
 
     def test_cas_interleaved_saves_union(self, tmp_path):
         a = ProofCache(tmp_path)

@@ -316,15 +316,15 @@ class TestVerificationService:
             svc.shutdown()
 
     def test_warm_network_replay_is_one_round_trip(self, tmp_path):
-        # Populate a store locally, serve it over the network tier, and
-        # point a daemon with NO local cache at it: the whole job must
-        # replay from ONE batched multi-GET (the verify_suite prefetch),
-        # byte-identical, with zero broker dispatches.
+        # Populate a store locally, serve it from a second daemon's
+        # /v1/cache routes, and point a daemon with NO local cache at it:
+        # the whole job must replay from ONE batched multi-GET (the
+        # verify_suite prefetch), byte-identical, with zero broker
+        # dispatches.
         from dataclasses import replace
 
         from repro.cli import parse_blocks
         from repro.cobalt.dsl import Optimization
-        from repro.verify.netcache import CacheServer
 
         items = [i if isinstance(i, Optimization) else Optimization(i)
                  for i in parse_blocks(CONST_PROP)]
@@ -334,10 +334,12 @@ class TestVerificationService:
         )
         local.cache.save()
 
-        server = CacheServer(tmp_path / "store", port=0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        upstream = _start_daemon(
+            options=replace(FAST, cache_dir=str(tmp_path / "store"))
+        )
         svc = VerificationService(
-            replace(FAST, cache_url=server.url), batch_window_s=0.02
+            replace(FAST, cache_url=f"http://127.0.0.1:{upstream.port}"),
+            batch_window_s=0.02,
         )
         try:
             job = svc.submit(
@@ -352,8 +354,8 @@ class TestVerificationService:
             assert svc.cache.stats.hits >= 1
         finally:
             svc.shutdown()
-            server.shutdown()
-            server.server_close()
+            upstream.server.request_stop()
+            upstream.thread.join(timeout=30)
 
 
 # ---------------------------------------------------------------------------
