@@ -11,10 +11,13 @@ different machine, three decades later); the *shape* should hold: folding
 rules are near-instant, forward dataflow patterns cheap, backward patterns
 and pointer-dependent proofs the most expensive.
 
-The rows are discharged through a persistent proof cache (cold — the cache
-starts empty), and a final pass replays every item against the populated
-cache, so the E1 table also reports the warm, content-addressed replay time
-per item (docs/VERIFYING.md).
+Each row is discharged cold against its own empty proof cache, so a row's
+time does not depend on which rows ran before it (obligations shared
+between items are proved once per item).  A separate pass proves the whole
+suite through one shared cache — the suite total ``repro verify`` pays
+cold — and a final pass replays every item against its populated cache,
+so the E1 table also reports the warm, content-addressed replay time per
+item (docs/VERIFYING.md).
 """
 
 import time
@@ -28,48 +31,46 @@ from repro.opts import ALL_OPTIMIZATIONS, taintedness_analysis
 
 _RESULTS = {}
 _WARM = {}
-_RACE = {}
-_KERNEL_RACE = {}
+_SUITE = {}
 
-#: Rows raced reference-vs-incremental (mode) and reference-vs-flat
-#: (kernel) — the ones with enough search for the comparison to mean
-#: anything; folding rules finish in milliseconds.
-_RACE_ROWS = [
-    "cse",
-    "loadElim",
-    "deadAssignElim",
-    "partialDaeSink",
-    "preDuplicate",
-    "licmDuplicate",
-]
+_ITEMS = [taintedness_analysis] + list(ALL_OPTIMIZATIONS)
 
 
-@pytest.fixture(scope="module")
-def cache_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("proof-cache")
+def _check(checker, item):
+    if item is taintedness_analysis:
+        return checker.check_analysis(item)
+    return checker.check_optimization(item)
 
 
-@pytest.fixture(scope="module")
-def cached_checker(cache_dir):
+def _cached_checker(cache_dir):
     return SoundnessChecker(
         config=ProverConfig(timeout_s=120),
         options=VerifyOptions(cache_dir=str(cache_dir)),
     )
 
 
+@pytest.fixture(scope="module")
+def cache_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("proof-caches")
+
+
 @pytest.mark.parametrize("opt", ALL_OPTIMIZATIONS, ids=lambda o: o.name)
-def test_proof_time(benchmark, cached_checker, opt):
+def test_proof_time(benchmark, cache_root, opt):
+    checker = _cached_checker(cache_root / opt.name)
+
     def discharge():
-        return cached_checker.check_optimization(opt)
+        return checker.check_optimization(opt)
 
     report = benchmark.pedantic(discharge, rounds=1, iterations=1)
     assert report.sound, report.summary()
+    assert checker.cache.stats.misses > 0, "the row's cache was not cold"
     _RESULTS[opt.name] = report.elapsed_s
 
 
-def test_analysis_proof_time(benchmark, cached_checker):
+def test_analysis_proof_time(benchmark, cache_root):
+    checker = _cached_checker(cache_root / taintedness_analysis.name)
     report = benchmark.pedantic(
-        lambda: cached_checker.check_analysis(taintedness_analysis),
+        lambda: checker.check_analysis(taintedness_analysis),
         rounds=1,
         iterations=1,
     )
@@ -77,103 +78,36 @@ def test_analysis_proof_time(benchmark, cached_checker):
     _RESULTS[taintedness_analysis.name] = report.elapsed_s
 
 
-def test_yy_warm_replay(benchmark, cache_dir):
-    """Replays every row against the populated cache (a fresh checker, so
+def test_yy_suite_total(benchmark, tmp_path):
+    """Every item, cold, through one shared cache (what ``repro verify``
+    pays): obligations shared between items are proved once."""
+    checker = _cached_checker(tmp_path / "shared")
+
+    def suite():
+        start = time.monotonic()
+        for item in _ITEMS:
+            assert _check(checker, item).sound
+        _SUITE["cold_shared_s"] = time.monotonic() - start
+
+    benchmark.pedantic(suite, rounds=1, iterations=1)
+
+
+def test_yy_warm_replay(benchmark, cache_root):
+    """Replays every row against its populated cache (a fresh checker, so
     nothing is in process memory — every verdict comes off disk)."""
-    warm = SoundnessChecker(
-        config=ProverConfig(timeout_s=120),
-        options=VerifyOptions(cache_dir=str(cache_dir)),
-    )
 
     def replay():
-        start = time.monotonic()
-        report = warm.check_analysis(taintedness_analysis)
-        _WARM[taintedness_analysis.name] = time.monotonic() - start
-        assert report.sound
-        for opt in ALL_OPTIMIZATIONS:
+        for item in _ITEMS:
+            if item.name not in _RESULTS:
+                continue
+            warm = _cached_checker(cache_root / item.name)
             start = time.monotonic()
-            report = warm.check_optimization(opt)
-            _WARM[opt.name] = time.monotonic() - start
+            report = _check(warm, item)
+            _WARM[item.name] = time.monotonic() - start
             assert report.sound, report.summary()
+            assert warm.cache.stats.misses == 0, f"{item.name}: warm replay missed"
 
     benchmark.pedantic(replay, rounds=1, iterations=1)
-    assert warm.cache.stats.misses == 0, "warm replay missed the cache"
-
-
-def _mode_fingerprint(report):
-    ctxs = tuple(
-        (r.obligation, r.proved, tuple(r.context)) for r in report.results
-    )
-    for dep in report.dependencies:
-        ctxs += tuple(
-            (r.obligation, r.proved, tuple(r.context)) for r in dep.results
-        )
-    return report.canonical(), ctxs
-
-
-@pytest.mark.parametrize("name", _RACE_ROWS)
-def test_xx_mode_race(benchmark, name):
-    """Reference vs incremental on the same row, no cache: the verdicts
-    (status tree + counterexample contexts) must be byte-identical and the
-    incremental mode must evaluate strictly fewer ground literals."""
-    opt = {o.name: o for o in ALL_OPTIMIZATIONS}[name]
-    out = {}
-
-    def race():
-        for mode in ("reference", "incremental"):
-            checker = SoundnessChecker(
-                config=ProverConfig(timeout_s=120, mode=mode)
-            )
-            start = time.monotonic()
-            report = checker.check_optimization(opt)
-            elapsed = time.monotonic() - start
-            stats = report.prover_stats()
-            out[mode] = (_mode_fingerprint(report), stats.lit_evals, elapsed)
-
-    benchmark.pedantic(race, rounds=1, iterations=1)
-    ref, inc = out["reference"], out["incremental"]
-    assert ref[0] == inc[0], f"{name}: modes returned different reports"
-    assert inc[1] < ref[1], (
-        f"{name}: incremental evaluated {inc[1]} literals, "
-        f"reference {ref[1]} — not strictly fewer"
-    )
-    _RACE[name] = (ref[1], inc[1], ref[2], inc[2])
-
-
-@pytest.mark.parametrize("name", _RACE_ROWS)
-def test_xx_kernel_race(benchmark, name):
-    """Reference vs flat e-graph kernel on the same row, no cache: the
-    reports must be byte-identical, the search counters must coincide, and
-    the flat kernel must perform strictly fewer Python-level structural
-    visits (docs/KERNELS.md)."""
-    opt = {o.name: o for o in ALL_OPTIMIZATIONS}[name]
-    out = {}
-
-    def race():
-        for kernel in ("reference", "flat"):
-            checker = SoundnessChecker(
-                config=ProverConfig(timeout_s=120, kernel=kernel)
-            )
-            start = time.monotonic()
-            report = checker.check_optimization(opt)
-            elapsed = time.monotonic() - start
-            stats = report.prover_stats()
-            out[kernel] = (
-                _mode_fingerprint(report),
-                stats.search_fingerprint(),
-                stats.struct_visits,
-                elapsed,
-            )
-
-    benchmark.pedantic(race, rounds=1, iterations=1)
-    ref, flat = out["reference"], out["flat"]
-    assert ref[0] == flat[0], f"{name}: kernels returned different reports"
-    assert ref[1] == flat[1], f"{name}: kernels' search counters diverged"
-    assert flat[2] < ref[2], (
-        f"{name}: flat visited {flat[2]} structures, reference {ref[2]} — "
-        f"not strictly fewer"
-    )
-    _KERNEL_RACE[name] = (ref[2], flat[2], ref[3], flat[3])
 
 
 def test_zz_report(benchmark):
@@ -193,41 +127,16 @@ def test_zz_report(benchmark):
         f"range {min(times):.2f}s .. {max(times):.2f}s, "
         f"average {sum(times) / len(times):.2f}s over {len(times)} items"
     )
+    if _SUITE:
+        lines.append(
+            f"suite total {_SUITE['cold_shared_s']:.2f}s cold through one "
+            f"shared cache (vs. {sum(times):.2f}s summed per row)"
+        )
     if _WARM:
         lines.append(
             f"warm replay total {sum(_WARM.values()):.3f}s "
             f"(vs. {sum(times):.2f}s cold)"
         )
-    if _RACE:
-        lines.append("")
-        lines.append("=== reference vs incremental prover (identical verdicts) ===")
-        lines.append(
-            f"{'optimization':24s} {'ref lit-evals':>13s} {'inc lit-evals':>13s} "
-            f"{'ref':>7s} {'inc':>7s}"
-        )
-        for name, (ref_le, inc_le, ref_s, inc_s) in sorted(_RACE.items()):
-            lines.append(
-                f"{name:24s} {ref_le:13,d} {inc_le:13,d} "
-                f"{ref_s:6.2f}s {inc_s:6.2f}s"
-            )
-    if _KERNEL_RACE:
-        lines.append("")
-        lines.append(
-            "=== reference vs flat e-graph kernel (identical verdicts and "
-            "search counters) ==="
-        )
-        lines.append(
-            f"{'optimization':24s} {'ref visits':>12s} {'flat visits':>12s} "
-            f"{'ref':>7s} {'flat':>7s} {'speedup':>8s}"
-        )
-        for name, (ref_sv, flat_sv, ref_s, flat_s) in sorted(
-            _KERNEL_RACE.items()
-        ):
-            speedup = ref_s / flat_s if flat_s > 0 else float("inf")
-            lines.append(
-                f"{name:24s} {ref_sv:12,d} {flat_sv:12,d} "
-                f"{ref_s:6.2f}s {flat_s:6.2f}s {speedup:7.2f}x"
-            )
     lines.append("paper (Simplify, 2003 workstation): range 3s .. 104s, average 28s")
 
     from repro.prover.kernels import kernel_identity
@@ -243,32 +152,13 @@ def test_zz_report(benchmark):
             }
             for name, seconds in sorted(_RESULTS.items())
         ],
-        "mode_race": [
-            {
-                "name": name,
-                "ref_lit_evals": ref_le,
-                "inc_lit_evals": inc_le,
-                "ref_s": round(ref_s, 4),
-                "inc_s": round(inc_s, 4),
-            }
-            for name, (ref_le, inc_le, ref_s, inc_s) in sorted(_RACE.items())
-        ],
-        "kernel_race": [
-            {
-                "name": name,
-                "ref_struct_visits": ref_sv,
-                "flat_struct_visits": flat_sv,
-                "ref_s": round(ref_s, 4),
-                "flat_s": round(flat_s, 4),
-            }
-            for name, (ref_sv, flat_sv, ref_s, flat_s) in sorted(
-                _KERNEL_RACE.items()
-            )
-        ],
+        "suite_cold_shared_s": (
+            round(_SUITE["cold_shared_s"], 4) if _SUITE else None
+        ),
     }
     config = {
         "timeout_s": 120,
         "default_kernel": kernel_identity("flat"),
-        "cold_rows_cached": True,
+        "cold_rows_cached": False,
     }
     emit("E1_proof_times", "\n".join(lines), rows=rows, config=config)

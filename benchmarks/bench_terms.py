@@ -1,35 +1,21 @@
 """E8 — the hash-consed term substrate (docs/TERMS.md).
 
-Two families of rows, each racing the interned representation against the
-pre-interning one (:mod:`repro.logic.reference` — the original dataclass
-semantics, with instrumented walkers counting structural node visits):
+One row: **obligation encoding** — building and clausifying every
+obligation of a slice of the shipped suite, with the transformation memos
+on vs. disabled (:func:`repro.logic.intern.structural_reference`).  This
+is the encode phase E1's cold rows pay per optimization.  The assert is
+the acceptance floor: ≥2x for the memoized pipeline.
 
-* **microbenchmarks** over a corpus of deeply shared terms — ``hash``,
-  ``==``, ``free_vars``, ``subst``, and build+dedup ("interning").  On the
-  reference side every one of these traverses the tree; on the interned
-  side they are cached-int reads, pointer comparisons, or memo hits.  The
-  corpus is an iterated pairing (``t_{n+1} = pair(f(t_n), t_n)``), so its
-  *tree* size is exponential in the depth while its *DAG* size is linear —
-  the exact shape maximal sharing exists to exploit (and the shape the
-  verifier's state/map terms actually take).
-* **obligation encoding** — building and clausifying every obligation of a
-  slice of the shipped suite, with the transformation memos on vs. disabled
-  (:func:`repro.logic.intern.structural_reference`).  This is the encode
-  phase E1's cold rows pay per optimization.
-
-The asserts are the PR's acceptance floor: ≥2x on the interning and
-encoding races, and strictly fewer structural visits wherever the reference
-side walks (hash/eq/free_vars/subst).
+The microbenchmark rows that raced interned terms against the
+pre-interning dataclass module (hash, ==, free_vars, subst, build+dedup)
+were retired with that module; EXPERIMENTS.md keeps their last table as a
+one-time result.
 """
 
 import time
 
-import pytest
-
 from repro.logic import intern as I
-from repro.logic import reference as ref
 from repro.logic.formulas import clausify
-from repro.logic.terms import App, IntConst, LVar, free_vars, subst, term_size
 from repro.opts import ALL_OPTIMIZATIONS
 from repro.cobalt.dsl import BackwardPattern
 from repro.cobalt.labels import standard_registry
@@ -37,185 +23,10 @@ from repro.verify.obligations import ObligationBuilder
 
 _ROWS = []
 
-#: (fn, depth) — DAG of ~3·depth distinct nodes whose tree unfolding has
-#: ~2^depth leaves.  Depth 12 keeps one reference hash walk ~10k visits.
-_DEPTH = 12
-_REPEATS = 40
-
 #: Encoding slice: forward (constProp, cse) and backward (deadAssignElim)
 #: patterns; none with semantic labels (those need a registered analysis).
 _ENCODE_ROWS = ("constProp", "cse", "deadAssignElim")
 _ENCODE_REPEATS = 3
-
-
-def _corpus(mod):
-    """The shared-spine corpus, built through ``mod``'s constructors."""
-    terms = []
-    t = mod.App("a")
-    for i in range(_DEPTH):
-        t = mod.App("pair", (mod.App("f", (t,)), t))
-        terms.append(t)
-    u = mod.App("g", (mod.LVar("x"), mod.IntConst(3)))
-    for i in range(_DEPTH // 2):
-        u = mod.App("pair", (u, mod.App("f", (u,))))
-        terms.append(u)
-    return terms
-
-
-def _timed(fn, repeats):
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, out
-
-
-def _row(name, interned_s, reference_s, i_visits, r_visits, floor=None):
-    speedup = reference_s / interned_s if interned_s else float("inf")
-    _ROWS.append((name, interned_s, reference_s, speedup, i_visits, r_visits))
-    assert i_visits < r_visits, (
-        f"{name}: interned side visited {i_visits} nodes, reference "
-        f"{r_visits} — not strictly fewer"
-    )
-    if floor is not None:
-        assert speedup >= floor, (
-            f"{name}: {speedup:.2f}x < required {floor}x"
-        )
-    return speedup
-
-
-def test_intern_build_dedup(benchmark):
-    """Build the corpus and deduplicate it.  Interned: construction *is*
-    deduplication (table probes on cached child hashes).  Reference:
-    construct, then dedup through a set — each insert structurally hashes
-    the whole tree, which is the hidden cost every pre-interning dict/set
-    of terms paid."""
-
-    import repro.logic.terms as iterms
-
-    def interned():
-        return len(set(_corpus(iterms)))
-
-    mark = I.STATS.snapshot()
-    i_s, i_n = _timed(interned, _REPEATS)
-    d = I.STATS.delta(mark)
-    # Interned "visits": constructor calls (all table probes, O(1) each).
-    i_visits = d["term_hits"] + d["term_misses"]
-
-    ref.reset_visits()
-
-    def reference_counted():
-        terms = _corpus(ref)
-        seen = set()
-        for t in terms:
-            seen.add(ref.ref_hash(t))
-        return len(seen)
-
-    r_s, r_n = _timed(reference_counted, 3)
-    r_visits = ref.VISITS
-    assert i_n == r_n, "both sides must dedup to the same corpus"
-    _row(
-        "build+dedup (interning)",
-        i_s,
-        r_s,
-        max(1, i_visits // _REPEATS),
-        r_visits // 3,
-        floor=2.0,
-    )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_hash_cached(benchmark):
-    import repro.logic.terms as iterms
-
-    terms = _corpus(iterms)
-    rterms = _corpus(ref)
-
-    def interned():
-        return sum(hash(t) & 1 for t in terms)
-
-    ref.reset_visits()
-
-    def reference():
-        return sum(ref.ref_hash(t) & 1 for t in rterms)
-
-    i_s, _ = _timed(interned, _REPEATS)
-    r_s, _ = _timed(reference, 3)
-    # Interned hash reads one cached slot per term: len(terms) "visits".
-    _row("hash", i_s, r_s, len(terms), ref.VISITS // 3, floor=2.0)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_eq_identity(benchmark):
-    import repro.logic.terms as iterms
-
-    terms = _corpus(iterms)
-    terms2 = _corpus(iterms)
-    rterms = _corpus(ref)
-    rterms2 = _corpus(ref)
-
-    def interned():
-        return sum(a == b for a in terms for b in terms2)
-
-    ref.reset_visits()
-
-    def reference():
-        return sum(ref.ref_eq(a, b) for a in rterms for b in rterms2)
-
-    i_s, i_n = _timed(interned, _REPEATS)
-    r_s, r_n = _timed(reference, 3)
-    assert i_n == r_n
-    _row("eq (all pairs)", i_s, r_s, len(terms) ** 2, ref.VISITS // 3, floor=2.0)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_free_vars_cached(benchmark):
-    import repro.logic.terms as iterms
-
-    terms = _corpus(iterms)
-    rterms = _corpus(ref)
-
-    def interned():
-        return sum(len(free_vars(t)) for t in terms)
-
-    ref.reset_visits()
-
-    def reference():
-        return sum(len(ref.ref_free_vars(t)) for t in rterms)
-
-    i_s, i_n = _timed(interned, _REPEATS)
-    r_s, r_n = _timed(reference, 3)
-    assert i_n == r_n
-    _row("free_vars", i_s, r_s, len(terms), ref.VISITS // 3)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_subst_memoized(benchmark):
-    import repro.logic.terms as iterms
-
-    terms = _corpus(iterms)
-    rterms = _corpus(ref)
-    binding = {"x": iterms.App("f", (iterms.App("a"),))}
-    rbinding = {"x": ref.App("f", (ref.App("a"),))}
-
-    def interned():
-        return sum(term_size(subst(t, binding)) for t in terms)
-
-    ref.reset_visits()
-
-    def reference():
-        return sum(ref.term_size(ref.ref_subst(t, rbinding)) for t in rterms)
-
-    mark = I.STATS.snapshot()
-    i_s, i_n = _timed(interned, _REPEATS)
-    d = I.STATS.delta(mark)
-    i_visits = (d["subst_hits"] + d["subst_misses"]) // _REPEATS + len(terms)
-    r_s, r_n = _timed(reference, 3)
-    assert i_n == r_n, "substitution must agree across representations"
-    _row("subst", i_s, r_s, i_visits, ref.VISITS // 3)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
 def _encode_workload():
@@ -257,9 +68,7 @@ def test_obligation_encoding(benchmark):
     i_s = (time.perf_counter() - start) / _ENCODE_REPEATS
     d = I.STATS.delta(mark)
     assert d["clausify_hits"] > 0, "encode workload must hit the clausify memo"
-    _ROWS.append(
-        ("obligation encoding", i_s, r_s, r_s / i_s if i_s else float("inf"), None, None)
-    )
+    _ROWS.append(("obligation encoding", i_s, r_s, r_s / i_s if i_s else float("inf")))
     assert r_s / i_s >= 2.0, (
         f"obligation encoding: {r_s / i_s:.2f}x < required 2x"
     )
@@ -271,37 +80,27 @@ def test_zz_report(benchmark):
     assert _ROWS
     from _report import emit
 
-    lines = ["=== E8: hash-consed terms vs reference dataclasses ==="]
+    lines = ["=== E8: memoized vs memo-off term pipeline ==="]
     lines.append(
-        f"{'operation':28s} {'interned':>10s} {'reference':>10s} {'speedup':>8s} "
-        f"{'i-visits':>9s} {'r-visits':>9s}"
+        f"{'operation':28s} {'memo on':>10s} {'memo off':>10s} {'speedup':>8s}"
     )
-    for name, i_s, r_s, speedup, iv, rv in _ROWS:
-        iv_c = f"{iv:9,d}" if iv is not None else "        -"
-        rv_c = f"{rv:9,d}" if rv is not None else "        -"
+    for name, i_s, r_s, speedup in _ROWS:
         lines.append(
-            f"{name:28s} {i_s * 1e3:8.3f}ms {r_s * 1e3:8.3f}ms {speedup:7.1f}x "
-            f"{iv_c} {rv_c}"
+            f"{name:28s} {i_s * 1e3:8.3f}ms {r_s * 1e3:8.3f}ms {speedup:7.1f}x"
         )
-    lines.append(
-        "visits = structural nodes walked per operation batch "
-        "(interned side: cached-slot reads / table probes)"
-    )
     lines.append(I.STATS.summary())
     rows = [
         {
             "operation": name,
-            "interned_s": round(i_s, 6),
-            "reference_s": round(r_s, 6),
+            "memo_on_s": round(i_s, 6),
+            "memo_off_s": round(r_s, 6),
             "speedup": round(speedup, 2),
-            "interned_visits": iv,
-            "reference_visits": rv,
         }
-        for name, i_s, r_s, speedup, iv, rv in _ROWS
+        for name, i_s, r_s, speedup in _ROWS
     ]
     emit(
         "E8_terms",
         "\n".join(lines),
         rows=rows,
-        config={"repeats": _REPEATS, "encode_repeats": _ENCODE_REPEATS},
+        config={"encode_repeats": _ENCODE_REPEATS},
     )

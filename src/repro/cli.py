@@ -4,8 +4,7 @@ Usage (also via ``python -m repro``)::
 
     repro-cobalt check FILE.cobalt [--infer-witness]
     repro-cobalt opt PROGRAM.il --passes constProp,deadAssignElim
-                 [--iterate] [--trust] [--engine worklist|reference]
-                 [--engine-stats]
+                 [--iterate] [--trust] [--engine-stats]
     repro-cobalt run PROGRAM.il ARG
     repro-cobalt counterexample FILE.cobalt
     repro-cobalt [--jobs N] [--cache-dir DIR] [--cache-url URL] suite
@@ -18,11 +17,10 @@ Usage (also via ``python -m repro``)::
   file and proves (or rejects) each one; with ``--infer-witness`` missing
   or failing witnesses are inferred and re-verified.
 * ``opt`` optimizes an IL program with the named library passes — proving
-  each pass sound first unless ``--trust`` is given.  ``--engine`` selects
-  the fixpoint solver (the memoized worklist default, or the reference
-  sweep it is cross-checked against) and ``--engine-stats`` prints the
-  engine's observability counters — fixpoint iterations, worklist pops,
-  check-cache hit rate, per-phase wall time (see docs/ENGINE.md).
+  each pass sound first unless ``--trust`` is given.  ``--engine-stats``
+  prints the engine's observability counters — fixpoint iterations,
+  worklist pops, check-cache hit rate, per-phase wall time (see
+  docs/ENGINE.md).
 * ``run`` interprets ``main(ARG)``.
 * ``counterexample`` searches for a concrete miscompilation for a rejected
   optimization (section 7).
@@ -40,16 +38,10 @@ proof cache of a ``repro-cobalt --cache-dir DIR serve`` daemon —
 strictly fail-open, see docs/CACHING.md.  ``--backend internal|smtlib|portfolio`` selects the
 prover backend — the in-process prover, SMT-LIB2 emission through an
 external solver subprocess (``--solver-cmd`` overrides auto-discovery of
-z3/cvc5), or a per-obligation race of the two (docs/BACKENDS.md).
-``--prover-mode incremental|reference`` selects the internal proof search
-loop — incremental E-matching with watched ground clauses (the default) or
-the full-rescan reference it is cross-checked against.  ``--kernel
-flat|reference`` selects the e-graph substrate the search runs on — the
-struct-of-arrays integer kernel (default; compiled to a C extension when
-``repro[compiled]`` is installed) or the object-graph reference, with
-byte-identical results either way (docs/KERNELS.md).  (The deprecated
-``--prover`` alias was removed; use ``--prover-mode``/``--backend`` — see
-the migration table in docs/SERVICE.md.)  ``--json`` on ``suite``,
+z3/cvc5), or a per-obligation race of the two (docs/BACKENDS.md).  The
+deprecated ``--prover`` alias and the ``--prover-mode``, ``--kernel`` and
+``--engine`` switches were removed — see the migration table in
+docs/SERVICE.md.  ``--json`` on ``suite``,
 ``verify``, ``fuzz``, and ``cache stats`` emits the daemon's versioned
 wire schema on stdout instead of the human table.  ``--prover-stats``
 prints the prover's observability counters to stderr (see docs/PROVER.md),
@@ -136,9 +128,7 @@ def build_verify_options(args):
         cache_dir=args.cache_dir,
         cache_url=args.cache_url,
         cache_timeout_s=args.cache_timeout,
-        prover=ProverOptions(
-            mode=args.prover_mode, kernel=args.kernel, timeout_s=args.timeout
-        ),
+        prover=ProverOptions(timeout_s=args.timeout),
     )
 
 
@@ -227,7 +217,7 @@ def cmd_opt(args) -> int:
         _emit_prover_stats(args, reports)
 
     program = parse_program(open(args.file).read())
-    engine = CobaltEngine(standard_registry(), mode=args.engine)
+    engine = CobaltEngine(standard_registry())
     total = 0
     for opt in passes:
         program_new = engine.run_on_program(opt, program)
@@ -298,15 +288,8 @@ def cmd_fuzz(args) -> int:
     base = build_verify_options(args)
     # Campaign verdicts must be byte-identical across machines and --jobs
     # settings, so the prover budget is the fixed counter-only one; only the
-    # backend/solver/jobs/cache axes and --prover-mode are taken from flags.
-    options = replace(
-        base,
-        prover=replace(
-            FRONTIER_PROVER_OPTIONS,
-            mode=base.prover.mode,
-            kernel=base.prover.kernel,
-        ),
-    )
+    # backend/solver/jobs/cache axes are taken from flags.
+    options = replace(base, prover=FRONTIER_PROVER_OPTIONS)
     corpus_dir = None if args.no_corpus else (args.corpus_dir or str(DEFAULT_CORPUS_DIR))
     progress = None if args.quiet else (lambda m: print(m, file=sys.stderr))
 
@@ -552,19 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="recycle a solver session's process after N "
                              "queries (default: 0, never)")
-    parser.add_argument("--prover-mode", choices=("incremental", "reference"),
-                        default="incremental",
-                        help="internal proof-search loop: incremental "
-                             "E-matching with watched ground clauses "
-                             "(default) or the full rescan reference it is "
-                             "cross-checked against")
-    parser.add_argument("--kernel", choices=("flat", "reference"),
-                        default="flat",
-                        help="e-graph substrate for the internal prover: "
-                             "the struct-of-arrays integer kernel (default; "
-                             "compiled when repro[compiled] is installed) "
-                             "or the object-graph reference — results are "
-                             "byte-identical either way")
     parser.add_argument("--prover-stats", action="store_true",
                         help="print prover observability counters (match "
                              "time, instance/dedup rates, clause wakeups, "
@@ -585,10 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run each pass to a fixpoint")
     p.add_argument("--trust", action="store_true",
                    help="skip re-verifying the passes before running them")
-    p.add_argument("--engine", choices=("worklist", "reference"),
-                   default="worklist",
-                   help="fixpoint solver: the memoized priority worklist "
-                        "(default) or the naive reference sweep")
     p.add_argument("--engine-stats", action="store_true",
                    help="print engine observability counters (fixpoint "
                         "iterations, worklist pops, cache hit rates, "

@@ -15,18 +15,13 @@ Since the guard universally quantifies over CFG paths, the fixpoint is a
 *greatest* fixpoint: facts start at the universe of generable substitutions
 and shrink.
 
-Two fixpoint solvers implement the same flow equations (see
-``docs/ENGINE.md``):
-
-* ``mode="worklist"`` (the default) — a priority worklist seeded in
-  reverse postorder (forward guards) or postorder (backward guards) that
-  re-examines only the neighbours of nodes whose fact changed, with
-  memoized ``gen``/``keeps`` evaluation keyed by statement content so
-  iterated passes re-analyze only what a rewrite actually changed.
-* ``mode="reference"`` — the naive chaotic round-robin sweep, retained as
-  the executable specification the worklist solver is cross-checked
-  against (both compute the unique greatest fixpoint of a monotone
-  system, so their results are identical by construction *and* by test).
+The fixpoint solver (see ``docs/ENGINE.md``) is a priority worklist
+seeded in reverse postorder (forward guards) or postorder (backward guards)
+that re-examines only the neighbours of nodes whose fact changed, with
+memoized ``gen``/``keeps`` evaluation keyed by statement content so
+iterated passes re-analyze only what a rewrite actually changed.  The
+tests check it against the Definition-1 path semantics
+(:mod:`repro.cobalt.semantics`).
 """
 
 from __future__ import annotations
@@ -108,8 +103,6 @@ class EngineStats:
 
     #: total guard fixpoints solved
     guard_facts_calls: int = 0
-    #: full-CFG passes performed by the reference sweep solver
-    sweeps: int = 0
     #: nodes popped off the priority worklist
     worklist_pops: int = 0
     #: ``check(psi2, theta, ctx)`` evaluations actually executed
@@ -153,7 +146,6 @@ class EngineStats:
         lines = [
             "engine stats:",
             f"  guard fixpoints          {self.guard_facts_calls}",
-            f"  reference sweeps         {self.sweeps}",
             f"  worklist pops            {self.worklist_pops}",
             f"  keeps evals/hits         {self.keeps_evals}/{self.keeps_hits}"
             f" ({self.keeps_hit_rate:.1%} hit rate)",
@@ -252,19 +244,10 @@ _PROC_STATE_LIMIT = 128
 
 
 class CobaltEngine:
-    """Executes Cobalt patterns, analyses, and optimizations over procedures.
+    """Executes Cobalt patterns, analyses, and optimizations over procedures."""
 
-    ``mode`` selects the guard fixpoint solver: ``"worklist"`` (default,
-    memoized priority worklist) or ``"reference"`` (the chaotic sweep kept
-    as the executable specification).  Both produce identical facts; see
-    the module docstring and ``docs/ENGINE.md``.
-    """
-
-    def __init__(self, registry: LabelRegistry, mode: str = "worklist") -> None:
-        if mode not in ("worklist", "reference"):
-            raise ValueError(f"unknown engine mode {mode!r}")
+    def __init__(self, registry: LabelRegistry) -> None:
         self.registry = registry
-        self.mode = mode
         self.stats = EngineStats()
         # Memo tables.  Keys are *content-addressed* — the statement, the
         # node's semantic labels, and (for gen) the enumeration-domain
@@ -309,15 +292,6 @@ class CobaltEngine:
 
     # -- guard dataflow ---------------------------------------------------------
 
-    def _contexts(self, proc: Procedure, labeling: Labeling) -> Tuple[Cfg, List[NodeCtx]]:
-        """Fresh CFG + contexts, built from scratch — the reference
-        engine's (deliberately uncached) behavior."""
-        cfg = Cfg.build(proc)
-        self.stats.cfg_builds += 1
-        domains = enumeration_domains(proc)
-        ctxs = [NodeCtx(proc, cfg, i, self.registry, labeling, domains) for i in cfg.nodes()]
-        return cfg, ctxs
-
     def guard_facts(
         self,
         psi1: Guard,
@@ -338,13 +312,11 @@ class CobaltEngine:
         start = time.perf_counter()
         self.stats.guard_facts_calls += 1
         try:
-            if self.mode == "reference":
-                return self._guard_facts_reference(psi1, psi2, direction, proc, labeling)
             return self._guard_facts_worklist(psi1, psi2, direction, proc, labeling)
         finally:
             self.stats.guard_s += time.perf_counter() - start
 
-    # The flow equations (shared by both solvers, in both directions):
+    # The flow equations (in both directions):
     #
     #   node_fact[i]: substitutions valid *after* visiting node i
     #   (forward: at its out edge; backward: at its in edge, i.e. the fact
@@ -359,51 +331,7 @@ class CobaltEngine:
     #     result[i]    = meet(i)
     #
     # node_fact is monotone (shrinking from the universe), so the greatest
-    # fixpoint is unique and independent of evaluation order: the sweep
-    # and the worklist provably agree.
-
-    def _guard_facts_reference(
-        self,
-        psi1: Guard,
-        psi2: Guard,
-        direction: str,
-        proc: Procedure,
-        labeling: Labeling,
-    ) -> List[FrozenSet[FrozenSubst]]:
-        """The naive solver: round-robin chaotic sweeps until quiescence,
-        no memoization.  Retained as the executable specification."""
-        cfg, ctxs = self._contexts(proc, labeling)
-        n = len(proc.stmts)
-
-        gen: List[FrozenSet[FrozenSubst]] = []
-        for i in range(n):
-            self.stats.gen_evals += 1
-            gen.append(frozenset(freeze_subst(t) for t in generate(psi1, {}, ctxs[i])))
-        universe: FrozenSet[FrozenSubst] = frozenset().union(*gen) if gen else frozenset()
-
-        def keeps(i: int, frozen: FrozenSubst) -> bool:
-            self.stats.keeps_evals += 1
-            return check(psi2, thaw_subst(frozen), ctxs[i])
-
-        node_fact: List[FrozenSet[FrozenSubst]] = [universe] * n
-        result: List[FrozenSet[FrozenSubst]] = [universe] * n
-        if direction == "forward":
-            on_path = cfg.reachable_from_entry()
-        else:
-            on_path = cfg.reaching_exit()
-
-        changed = True
-        while changed:
-            changed = False
-            self.stats.sweeps += 1
-            for i in range(n):
-                meet = self._meet(i, direction, cfg, on_path, node_fact, universe)
-                out = gen[i] | frozenset(t for t in meet if keeps(i, t))
-                if out != node_fact[i] or meet != result[i]:
-                    node_fact[i] = out
-                    result[i] = meet
-                    changed = True
-        return result
+    # fixpoint is unique and independent of evaluation order.
 
     def _guard_facts_worklist(
         self,

@@ -9,7 +9,7 @@
   (rejected within budget, no miscompilation found).
 * :func:`metamorphic_campaign` — the same rule must get the byte-identical
   canonical verdict from every prover leg (``internal`` vs ``portfolio``
-  backends, ``incremental`` vs ``reference`` modes); the ``smtlib`` leg is
+  backends); the ``smtlib`` leg is
   compared informationally (an external solver may legitimately prove
   more).
 
@@ -48,7 +48,6 @@ Progress = Optional[Callable[[str], None]]
 #: timeout is a never-fires backstop: wall-clock limits would make verdicts
 #: (and thus reports) machine-dependent.
 FRONTIER_PROVER_OPTIONS = ProverOptions(
-    mode="incremental",
     timeout_s=600.0,
     max_rounds=3,
     max_instances=3_000,
@@ -401,12 +400,13 @@ def frontier_campaign(
 # (c) metamorphic prover checks
 # ---------------------------------------------------------------------------
 
-#: The hard metamorphic legs: same goals, same budgets, different engines.
-#: Canonical verdicts must be byte-identical across all of them.
+#: The hard metamorphic legs, (leg name, backend): same goals, same
+#: budgets, different backends.  Canonical verdicts must be byte-identical
+#: across all of them.  The names keep their "-incremental" suffix so
+#: reports stay comparable with older ones.
 _HARD_LEGS = (
-    ("internal-incremental", "internal", "incremental"),
-    ("internal-reference", "internal", "reference"),
-    ("portfolio-incremental", "portfolio", "incremental"),
+    ("internal-incremental", "internal"),
+    ("portfolio-incremental", "portfolio"),
 )
 
 
@@ -415,12 +415,8 @@ def _leg_checkers(
 ) -> List[Tuple[str, SoundnessChecker]]:
     base = base or frontier_verify_options()
     out = []
-    for name, backend, mode in _HARD_LEGS:
-        options = replace(
-            base,
-            backend=backend,
-            prover=replace(base.prover, mode=mode),
-        )
+    for name, backend in _HARD_LEGS:
+        options = replace(base, backend=backend)
         out.append((name, SoundnessChecker(options=options)))
     return out
 
@@ -452,7 +448,7 @@ class MetamorphicReport:
 
     seed: int
     cases: int
-    legs: Tuple[str, ...] = tuple(name for name, _, _ in _HARD_LEGS)
+    legs: Tuple[str, ...] = tuple(name for name, _ in _HARD_LEGS)
     agreements: int = 0
     disagreements: List[str] = field(default_factory=list)  # rule names
 

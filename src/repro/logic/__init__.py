@@ -8,8 +8,8 @@ All constructors intern (hash-cons) into the weak global table in
 :mod:`repro.logic.intern`: structurally equal nodes are the same object,
 with cached hash, free variables, size, and printed form, and the
 clausification pipeline is memoized per node.  docs/TERMS.md documents the
-invariants; :mod:`repro.logic.reference` preserves the pre-interning
-dataclass semantics for cross-checking.
+invariants; ``tests/test_interning.py`` checks them against recursive
+structural walkers over the public fields.
 """
 
 from repro.logic.terms import (

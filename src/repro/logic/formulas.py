@@ -18,8 +18,7 @@ memoized per node — ``subst_formula`` by (node, binding key), ``nnf`` by
 (node, polarity), ``skolemize`` by (node, prefix) (sound because the Skolem
 counter is local to each call), ``clausify`` by (node, origin, prefix), and
 ``Clause.substitute`` by (clause, binding key).  The memoized pipeline is
-byte-for-byte equivalent to the recursive definitions, which survive as the
-executable specification in :mod:`repro.logic.reference`; tests re-run the
+byte-for-byte equivalent to the recursive definitions; tests re-run the
 suite under :func:`repro.logic.intern.structural_reference` to pin that.
 See docs/TERMS.md.
 """

@@ -18,8 +18,9 @@ are the *same object* (see :mod:`repro.logic.intern` and docs/TERMS.md), so
   (node, binding) pair.
 
 The public API (classes, constructors, helper functions) is unchanged from
-the original frozen-dataclass implementation, which survives as the
-executable specification in :mod:`repro.logic.reference`.
+the original frozen-dataclass implementation; ``tests/test_interning.py``
+checks ``==``, ``hash``, ``free_vars`` and ``subst`` against recursive
+structural walkers over the public fields.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def match(pattern: Term, target: Term, binding: Optional[Dict[str, Term]] = None
     """Syntactic one-way matching: find ``theta`` with ``pattern theta == target``.
 
     Purely syntactic (used in unit tests and a few non-E-graph contexts);
-    the prover's E-matching lives in :mod:`repro.prover.ematch`.
+    the prover's E-matching lives in :mod:`repro.prover.kernels.flat`.
     """
     binding = dict(binding or {})
     stack = [(pattern, target)]

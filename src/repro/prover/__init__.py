@@ -4,12 +4,12 @@ This package is the reproduction's stand-in for the Simplify prover used by
 the paper (closed-source and unavailable offline).  It implements the same
 architecture Simplify exposes to the Cobalt checker:
 
-* congruence closure over ground terms (:mod:`repro.prover.egraph`) with
-  free-constructor reasoning (distinctness + injectivity), disequalities,
+* congruence closure over ground terms (:mod:`repro.prover.kernels.flat`)
+  with free-constructor reasoning (distinctness + injectivity), disequalities,
   and ground integer arithmetic (:mod:`repro.prover.arith`);
 * DPLL-style case splitting over ground clauses;
 * quantifier instantiation by E-matching trigger patterns against the
-  E-graph (:mod:`repro.prover.ematch`);
+  E-graph (:func:`repro.prover.kernels.flat.flat_ematch`);
 * counterexample contexts on failed proofs, as Simplify returns.
 
 The prover is refutation-based and sound: a ``PROVED`` answer means the
@@ -19,6 +19,6 @@ resisted refutation.
 """
 
 from repro.prover.core import Prover, ProverConfig, ProverStats, Result, Status
-from repro.prover.egraph import EGraph
+from repro.prover.kernels import FlatEGraph
 
-__all__ = ["EGraph", "Prover", "ProverConfig", "ProverStats", "Result", "Status"]
+__all__ = ["FlatEGraph", "Prover", "ProverConfig", "ProverStats", "Result", "Status"]

@@ -1,4 +1,4 @@
-"""The in-process backend: today's incremental prover behind the protocol."""
+"""The in-process backend: the built-in prover behind the protocol."""
 
 from __future__ import annotations
 
@@ -30,8 +30,10 @@ class InternalBackend:
         return self._prover
 
     def identity(self) -> str:
-        mode = getattr(self.config, "mode", "incremental") or "incremental"
-        return f"internal;mode={mode}"
+        # Stored verdicts are scoped by this string, so it stays
+        # byte-identical to the one written when the prover still had a
+        # selectable mode: stores written then keep replaying.
+        return "internal;mode=incremental"
 
     def discharge(self, owner, obligation, cancel=None):
         from repro.verify.checker import discharge_obligation

@@ -1,11 +1,19 @@
-"""The flat e-graph kernel: congruence closure and E-matching over
-struct-of-arrays integer storage (docs/KERNELS.md).
+"""The e-graph kernel: congruence closure with theories and backtracking,
+and E-matching, over struct-of-arrays integer storage (docs/KERNELS.md).
 
-This module is the performance twin of :mod:`repro.prover.egraph` /
-:mod:`repro.prover.ematch`.  It implements the *same algorithm* — the same
-merge order, the same event log, the same union-by-rank tie-breaks, the
-same theory checks with the same conflict messages — but every e-node is a
-plain integer id into parallel flat lists:
+The E-graph is the heart of the prover.  It maintains equivalence classes
+of ground terms under asserted equalities, closed under congruence, and
+detects conflicts with:
+
+* asserted **disequalities**;
+* **free constructors**: two terms headed by distinct constructor symbols
+  are never equal, and equal constructor applications have equal
+  arguments (injectivity, applied eagerly);
+* **numerals**: distinct integer literals are distinct, and arithmetic
+  function symbols applied to known numerals fold to their value
+  (:mod:`repro.prover.arith`).
+
+Every e-node is a plain integer id into parallel flat lists:
 
 * ``parent`` / ``rank`` — the union-find forest, with iterative full path
   compression whose pointer rewrites are trailed so ``pop`` restores the
@@ -17,21 +25,21 @@ plain integer id into parallel flat lists:
   O(1) undo by re-swapping two ints);
 * ``int_has`` / ``int_val`` / ``ctor`` — per-root theory annotations
   (numeral value, witnessing constructor node);
-* ``node_mod`` — Simplify-style generation stamps for incremental
-  E-matching;
+* ``node_mod`` — Simplify-style generation stamps ("mod-times") for
+  incremental E-matching: a merge touches, transitively, every application
+  node whose arguments' classes can now match further, so matching
+  restricted to nodes stamped since the previous round finds exactly the
+  bindings that did not exist before;
 * ``uses`` / ``diseq`` — per-id use-lists and disequality adjacency;
 * a flat **integer trail**: undo records are operand ints pushed onto one
   list followed by an opcode, popped in reverse on ``pop``.  Only records
   that must restore an object (a class representative term, a signature
   key) park it in a side list.
 
-Because the algorithm is identical, a search running on this kernel is
-byte-identical to one running on the reference kernel — same verdicts,
-same counterexample contexts, same round-instance logs, same search
-counters — which ``tests/test_kernels.py`` asserts suite-wide.  What
-changes is constant factors: the hot loops (``find``, congruence
-propagation, candidate enumeration, member iteration) touch int lists
-instead of ``_Node`` dataclasses, ``Term`` objects, and per-root dicts.
+An **event log** of class roots whose equivalence class changed (merged,
+or gained a disequality) feeds the prover's watched-clause propagation
+(docs/PROVER.md).
+
 The module is written in the mypyc/Cython-compatible subset (plain
 classes, no generators or closures in hot paths) so ``pip install
 repro[compiled]`` can compile it to a C extension; the search is
@@ -41,10 +49,10 @@ E-matching compiles each trigger into a small instruction program
 (:class:`FlatProgram`, built by :func:`compile_trigger`) executed by a
 recursive abstract machine (:func:`flat_ematch`) — one TOP instruction per
 pattern term iterating candidate nodes by head-symbol row, VAR/INT/APP
-instructions walking argument spans and member cycles.  The enumeration
-visits exactly the reference matcher's search space and deduplicates with
-the same canonical (variable, class-root) key, so the returned binding
-set — and hence everything downstream — is identical.
+instructions walking argument spans and member cycles.  Bindings map
+variables to class *roots* and are deduplicated by the canonical
+(variable, root) key.  The kernel is checked against a naive
+union-find/declarative-matcher oracle in ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -54,8 +62,25 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.logic.terms import App, IntConst, LVar, Term, term_size, term_str
 from repro.prover.arith import ARITH_FNS, eval_arith
-from repro.prover.egraph import EGraphConflict, FALSE, TRUE
-from repro.prover.ematch import _DEADLINE_STRIDE, MatchTimeout
+
+TRUE = App("@true")
+FALSE = App("@false")
+
+
+class EGraphConflict(Exception):
+    """Raised internally when an assertion contradicts the current state."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
+class MatchTimeout(Exception):
+    """Raised when a match call exceeds the caller-supplied deadline."""
+
+
+#: How many top-level candidate nodes to examine between deadline checks.
+_DEADLINE_STRIDE = 64
 
 # Trail opcodes.  Undo records are pushed operands-first, opcode last, onto
 # one flat int list; ``pop`` reads the opcode and consumes the operands in
@@ -75,8 +100,7 @@ _OP_PARENT = 11  # [x, old]                   undo one path-compression write
 
 
 class FlatEGraph:
-    """Struct-of-arrays congruence closure, behaviorally identical to
-    :class:`repro.prover.egraph.EGraph` (the executable reference)."""
+    """Struct-of-arrays congruence closure with theories and a trail."""
 
     def __init__(self, constructors=None) -> None:
         self.constructors = frozenset(constructors or ())
@@ -119,10 +143,9 @@ class FlatEGraph:
         self.generation: int = 0
         self.events: List[int] = []
         #: Python-level structural visits: object-graph touches in the hot
-        #: paths.  The flat kernel only ever walks ``Term`` objects while
+        #: paths.  The kernel only ever walks ``Term`` objects while
         #: interning; matching and merging run over int arrays and count
-        #: nothing (docs/KERNELS.md, compared against the reference kernel
-        #: by the benchmark race).
+        #: nothing (docs/KERNELS.md).
         self.struct_visits: int = 0
         t = self.add_term(TRUE)
         f = self.add_term(FALSE)
@@ -238,8 +261,8 @@ class FlatEGraph:
         return self.generation
 
     def _touch_parents(self, root: int) -> None:
-        """Stamp, transitively, the parents of ``root``'s class (the flat
-        twin of the reference kernel's mod-time propagation)."""
+        """Stamp, transitively, the parents of ``root``'s class: every
+        application node whose descent can now reach further."""
         g = self.generation
         node_mod = self.node_mod
         trail = self.trail
@@ -364,10 +387,10 @@ class FlatEGraph:
             self._theory_premerge(rx, ry, pending, why)
             if self.rank[rx] < self.rank[ry]:
                 rx, ry = ry, rx
-            # ry is absorbed into rx.  Wake policy (mirrors the reference
-            # kernel exactly): a watched pair's relation can only change
-            # through the absorbed class (log ry), or against the
-            # surviving class when it gains a theory annotation or a
+            # ry is absorbed into rx.  Wake policy: a watched pair's
+            # relation can only change through the absorbed class (log
+            # ry), or against the surviving class when it gains a theory
+            # annotation or a
             # disequality from the absorbed one (log rx then) — inherited
             # disequalities only ever pair a partner with rx's class, so
             # rx's bucket covers them.  Skipping the surviving root
@@ -617,22 +640,6 @@ class FlatEGraph:
 
     # -- queries for E-matching and reporting ---------------------------------------
 
-    def nodes_with_fn(self, fn: str) -> List[int]:
-        fid = self.fn_ids.get(fn, -1)
-        if fid < 0:
-            return []
-        return self.fn_rows[fid]
-
-    def nodes_with_fn_since(self, fn: str, since: int) -> List[int]:
-        fid = self.fn_ids.get(fn, -1)
-        if fid < 0:
-            return []
-        node_mod = self.node_mod
-        return [n for n in self.fn_rows[fid] if node_mod[n] >= since]
-
-    def class_of(self, node_id: int) -> int:
-        return self.find(node_id)
-
     def members(self, root: int) -> List[int]:
         """The equivalence class of ``root`` as a list (cycle order)."""
         start = self.find(root)
@@ -646,9 +653,6 @@ class FlatEGraph:
 
     def representative(self, root: int) -> Term:
         return self.best_term[self.find(root)]
-
-    def node_term(self, node_id: int) -> Term:
-        return self.node_terms[node_id]
 
     def class_int_value(self, root: int) -> Optional[int]:
         r = self.find(root)
@@ -674,7 +678,7 @@ _EMPTY_ROWS: List[int] = []
 
 class FlatProgram:
     """A compiled (multi-)pattern: parallel instruction arrays plus the
-    variable-slot metadata needed to rebuild reference-shaped bindings.
+    variable-slot metadata needed to rebuild name-keyed bindings.
 
     Head symbols are stored as *names* (``fn_names``; TOP/APP ``f0`` is an
     index into it), so one compiled program serves every e-graph: triggers
@@ -745,8 +749,7 @@ def compile_trigger(eg, patterns) -> FlatProgram:
     slots: Dict[str, int] = {}
     for index, pattern in enumerate(patterns):
         if isinstance(pattern, LVar):
-            # Mirrors the reference matcher's rejection of bare-variable
-            # triggers (they would match every class).
+            # Bare-variable triggers would match every class.
             raise ValueError("bare variable used as a trigger pattern")
         if isinstance(pattern, IntConst):
             prog.ops.append(_M_TOP_INT)
@@ -990,10 +993,9 @@ class _MatchRun:
                     fid = fids[f0[pc]]
                     rows = eg.fn_rows[fid]
                     if since > 0 and f1[pc] == restricted:
-                        # The incremental pass: mod-stamp filter first
-                        # (the reference builds the filtered candidate
-                        # list up front); the per-fn watermark proves the
-                        # filtered list empty without building it.
+                        # The incremental pass: mod-stamp filter first;
+                        # the per-fn watermark proves the filtered list
+                        # empty without building it.
                         if eg.fn_maxmod[fid] < since:
                             rows = _EMPTY_ROWS
                         else:
@@ -1156,9 +1158,16 @@ def flat_ematch(
     since: int = 0,
     deadline: Optional[float] = None,
 ) -> List[Dict[str, int]]:
-    """All bindings of the compiled trigger against the e-graph — the same
-    set :func:`repro.prover.ematch.ematch` enumerates on the reference
-    kernel, deduplicated by the same canonical (variable, root) key."""
+    """All bindings of the compiled trigger against the e-graph,
+    deduplicated by the canonical (variable, root) key.
+
+    With ``since > 0`` only bindings that involve structure created or
+    touched at generation ``since`` or later are enumerated.  For a
+    multi-pattern of k terms this takes k passes — pass i restricts
+    pattern term i's top-level candidates to touched nodes and leaves the
+    other terms unrestricted — because a new binding need only be new in
+    *one* of its components.  Completeness rests on the stamp propagation
+    in ``_touch_parents``."""
     if since > 0:
         # Quiescence pre-check: each restricted pass starts at its
         # restricted pattern's head row, and the per-fn watermark proves

@@ -290,8 +290,6 @@ def prover_options_to_wire(options) -> Dict[str, Any]:
     return envelope(
         "prover-options",
         {
-            "mode": options.mode,
-            "kernel": options.kernel,
             "timeout_s": options.timeout_s,
             "max_rounds": options.max_rounds,
             "max_instances": options.max_instances,
@@ -303,11 +301,12 @@ def prover_options_to_wire(options) -> Dict[str, Any]:
 def prover_options_from_wire(data: Any):
     from repro.api import ProverOptions
 
+    # Documents from older clients may still carry "mode"/"kernel" (the
+    # removed prover-mode and kernel switches); like every unknown key,
+    # they are ignored.
     data = decode_envelope(data, "prover-options")
     defaults = ProverOptions()
     return ProverOptions(
-        mode=str(data.get("mode", defaults.mode)),
-        kernel=str(data.get("kernel", defaults.kernel)),
         timeout_s=float(data.get("timeout_s", defaults.timeout_s)),
         max_rounds=int(data.get("max_rounds", defaults.max_rounds)),
         max_instances=int(data.get("max_instances", defaults.max_instances)),
@@ -387,7 +386,6 @@ def engine_options_to_wire(options) -> Dict[str, Any]:
     return envelope(
         "engine-options",
         {
-            "mode": options.mode,
             "iterate": options.iterate,
             "collect_stats": options.collect_stats,
         },
@@ -397,10 +395,10 @@ def engine_options_to_wire(options) -> Dict[str, Any]:
 def engine_options_from_wire(data: Any):
     from repro.api import EngineOptions
 
+    # An older client's "mode" (the removed engine switch) is ignored.
     data = decode_envelope(data, "engine-options")
     defaults = EngineOptions()
     return EngineOptions(
-        mode=str(data.get("mode", defaults.mode)),
         iterate=bool(data.get("iterate", defaults.iterate)),
         collect_stats=bool(data.get("collect_stats", defaults.collect_stats)),
     )

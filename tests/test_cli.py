@@ -158,12 +158,18 @@ class TestOptCommand:
         assert "worklist pops" in captured.err
         assert "hit rate" in captured.err
 
-    def test_reference_engine_same_output(self, program_file, capsys):
+    def test_reference_engine_same_output(self, program_file, capsys,
+                                          monkeypatch):
+        """``opt`` prints what Definition 1 computes."""
+        import repro.cli
+        from tests.test_engine_worklist import DefinitionEngine
+
         assert main(["opt", program_file, "--passes", "constProp",
                      "--trust"]) == 0
         worklist_out = capsys.readouterr().out
-        assert main(["opt", program_file, "--passes", "constProp", "--trust",
-                     "--engine", "reference"]) == 0
+        monkeypatch.setattr(repro.cli, "CobaltEngine", DefinitionEngine)
+        assert main(["opt", program_file, "--passes", "constProp",
+                     "--trust"]) == 0
         reference_out = capsys.readouterr().out
         assert worklist_out == reference_out
 
@@ -274,6 +280,25 @@ class TestRetiredProverFlag:
         with pytest.raises(SystemExit):
             main(["--prover", "incremental", "suite"])
         assert "--prover-mode" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kernel", "flat", "verify"],
+            ["--prover-mode", "incremental", "verify"],
+            ["opt", "prog.il", "--passes", "constProp", "--engine", "worklist"],
+        ],
+        ids=["kernel", "prover-mode", "engine"],
+    )
+    def test_removed_switches_are_argparse_errors(self, argv, capsys):
+        """The kernel, prover-mode and engine switches are gone: using one
+        is a usage error (exit 2), never a silently ignored flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro-cobalt: error:" in err
+        assert "--kernel" not in err and "--prover-mode" not in err
 
 
 class TestServeSubcommand:

@@ -1,10 +1,12 @@
-"""The worklist guard-fixpoint solver vs. the reference sweep.
+"""The worklist guard-fixpoint solver vs. Definition 1.
 
-The worklist engine (``CobaltEngine(..., mode="worklist")``, the default)
-must be *observationally identical* to the retained reference sweep
-(``mode="reference"``): same ``guard_facts``, same ``Delta`` including
-order, same optimized programs — on the whole shipped suite and on
-generated procedures.  These tests pin that contract, the deterministic
+The worklist engine (:class:`CobaltEngine`) must be *observationally
+identical* to an engine whose guard facts come straight from the paper's
+Definition 1 (:class:`DefinitionEngine`, path enumeration in
+:mod:`repro.cobalt.semantics`): same ``guard_facts``, same ``Delta``
+including order, same optimized programs — on the whole shipped suite and
+on generated procedures (which are acyclic, where the definition is
+exact), plus a looping program.  These tests pin that contract, the deterministic
 ordering of ``legal_transformations``, the backward-meet fix for nodes off
 every exit path, the narrowed failure handling in ``run_pure_analysis``,
 and the :class:`EngineStats` observability layer.
@@ -24,15 +26,30 @@ from repro.cobalt.labels import standard_registry
 from repro.cobalt.patterns import VarPat, parse_pattern_stmt
 from repro.opts import ALL_ANALYSES, ALL_OPTIMIZATIONS, const_prop, dae
 
+from repro.cobalt.semantics import guard_meaning_by_paths
+
 
 @pytest.fixture()
 def worklist():
     return CobaltEngine(standard_registry())
 
 
+class DefinitionEngine(CobaltEngine):
+    """A :class:`CobaltEngine` whose guard facts come straight from
+    Definition 1 (path enumeration, :mod:`repro.cobalt.semantics`): exact
+    on acyclic CFGs, path-length bounded on cyclic ones."""
+
+    def guard_facts(self, psi1, psi2, direction, proc, labeling=None):
+        if direction not in ("forward", "backward"):
+            raise ValueError(f"unknown guard direction {direction!r}")
+        return guard_meaning_by_paths(
+            psi1, psi2, direction, proc, self.registry, labeling
+        )
+
+
 @pytest.fixture()
 def reference():
-    return CobaltEngine(standard_registry(), mode="reference")
+    return DefinitionEngine(standard_registry())
 
 
 def generated_procs(count, *, num_stmts=12, seed_base=0, **kw):
@@ -152,7 +169,7 @@ class TestDeterministicDelta:
         procs = generated_procs(50, num_stmts=12)
         wl1 = CobaltEngine(standard_registry())
         wl2 = CobaltEngine(standard_registry())
-        ref = CobaltEngine(standard_registry(), mode="reference")
+        ref = DefinitionEngine(standard_registry())
         for opt in (const_prop, dae):
             for proc in procs:
                 first = wl1.legal_transformations(opt.pattern, proc)
@@ -186,7 +203,9 @@ class TestBackwardMeetOffPath:
         """A non-return node with no successors is off every entry-to-exit
         path, so its backward fact is the vacuously-full universe — not
         the empty region a true return contributes."""
-        engine = CobaltEngine(standard_registry(), mode=mode)
+        engine = (DefinitionEngine if mode == "reference" else CobaltEngine)(
+            standard_registry()
+        )
         proc = self._fall_off_proc()
         psi1 = GLabel("stmt", (parse_pattern_stmt("X := C"),))
         facts = engine.guard_facts(psi1, GTrue(), "backward", proc)
@@ -206,7 +225,7 @@ class TestBackwardMeetOffPath:
         proc = self._fall_off_proc()
         psi1 = GLabel("stmt", (parse_pattern_stmt("X := C"),))
         wl = CobaltEngine(standard_registry())
-        ref = CobaltEngine(standard_registry(), mode="reference")
+        ref = DefinitionEngine(standard_registry())
         assert canonical_facts(
             wl.guard_facts(psi1, GTrue(), "backward", proc)
         ) == canonical_facts(ref.guard_facts(psi1, GTrue(), "backward", proc))
@@ -262,19 +281,11 @@ class TestEngineStats:
         stats = worklist.stats
         assert stats.guard_facts_calls >= 1
         assert stats.worklist_pops > 0
-        assert stats.sweeps == 0
         assert stats.keeps_evals + stats.keeps_hits > 0
         assert stats.gen_evals > 0
         assert stats.guard_s > 0.0
         assert 0.0 <= stats.keeps_hit_rate <= 1.0
         assert "worklist pops" in stats.table()
-
-    def test_reference_counts_sweeps(self, reference):
-        proc = generated_procs(1, num_stmts=16)[0]
-        reference.run_optimization(const_prop, proc)
-        assert reference.stats.sweeps >= 2  # at least one sweep + quiescence
-        assert reference.stats.worklist_pops == 0
-        assert reference.stats.keeps_hits == 0
 
     def test_reset_returns_snapshot(self, worklist):
         proc = generated_procs(1, num_stmts=8)[0]
@@ -285,9 +296,9 @@ class TestEngineStats:
         assert worklist.stats == EngineStats()
 
     def test_memoization_pays_off_across_iteration(self):
-        """The iterate loop re-analyzes only what changed: the worklist
-        engine's check evaluations stay well below the reference sweep's
-        on an iterated DAE chain."""
+        """The iterate loop re-analyzes only what changed: the engine's
+        check evaluations stay well below those of the same engine with its
+        memo emptied before every fixpoint, on an iterated DAE chain."""
         from dataclasses import replace
 
         proc = parse_program(
@@ -305,21 +316,29 @@ class TestEngineStats:
             """
         ).proc("main")
         iterating = replace(dae, iterate=True)
+        class Forgetful(CobaltEngine):
+            def guard_facts(self, *args, **kwargs):
+                self._keeps_memo.clear()
+                return super().guard_facts(*args, **kwargs)
+
         wl = CobaltEngine(standard_registry())
-        ref = CobaltEngine(standard_registry(), mode="reference")
+        cold = Forgetful(standard_registry())
+        ref = DefinitionEngine(standard_registry())
         out_wl, applied_wl = wl.run_optimization(iterating, proc)
-        out_ref, applied_ref = ref.run_optimization(iterating, proc)
-        assert (out_wl, applied_wl) == (out_ref, applied_ref)
+        assert cold.run_optimization(iterating, proc) == (out_wl, applied_wl)
+        assert ref.run_optimization(iterating, proc) == (out_wl, applied_wl)
         assert len(applied_wl) == 3
-        assert wl.stats.keeps_evals < ref.stats.keeps_evals
+        assert wl.stats.keeps_evals < cold.stats.keeps_evals
         assert wl.stats.keeps_hits > 0
         # The rewrite preserved CFG shape, so the derived states never
         # rebuilt the graph after the first construction.
         assert wl.stats.cfg_builds == 1
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            CobaltEngine(standard_registry(), mode="chaotic")
+        """The engine has one solver: the removed ``mode`` switch is an
+        error, not a silently ignored keyword."""
+        with pytest.raises(TypeError):
+            CobaltEngine(standard_registry(), mode="reference")
 
     def test_invalid_direction_rejected(self, worklist):
         proc = generated_procs(1, num_stmts=4)[0]

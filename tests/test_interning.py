@@ -3,8 +3,8 @@
 Three layers of pinning:
 
 1. **Semantics agreement** — for arbitrary generated terms/formulas, the
-   interned constructors must agree with the original frozen-dataclass
-   implementation (:mod:`repro.logic.reference`) on ``==``, hash
+   interned operations must agree with the recursive structural walkers of
+   ``tests/oracle_terms.py`` (the reference semantics) on ``==``, hash
    consistency, ``str``, free variables, size, groundness, and
    substitution.  Hypothesis when available, a seeded-random corpus of the
    same shape otherwise.
@@ -26,7 +26,6 @@ import random
 import pytest
 
 from repro.logic import intern as I
-from repro.logic import reference as ref
 from repro.logic import formulas as F
 from repro.logic import terms as T
 from repro.logic.formulas import (
@@ -53,6 +52,8 @@ from repro.prover import Prover, ProverConfig
 from repro.api import VerifyOptions
 from repro.verify import SoundnessChecker
 
+from tests import oracle_terms as ref
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -63,9 +64,9 @@ except ImportError:  # pragma: no cover - environment-dependent
 
 
 # ---------------------------------------------------------------------------
-# Generators: build *specs* (plain tuples), then realize each spec twice —
-# through the interning constructors and through the reference dataclasses —
-# so the two sides are constructed independently.
+# Generators: build *specs* (plain tuples), then realize each spec twice
+# through the interning constructors, so equal specs are built by separate
+# constructor calls.
 # ---------------------------------------------------------------------------
 
 
@@ -152,39 +153,39 @@ _BINDING_SPECS = [
 ]
 
 
+def _check_pair(i1, i2, j1):
+    """``i1``/``i2`` built from two specs; ``j1`` rebuilt from ``i1``'s."""
+    # Equality agrees with structural identity; equal means identical.
+    assert (i1 == i2) == (ref.key(i1) == ref.key(i2))
+    assert i1 == j1 and i1 is j1, "equal interned nodes must be one object"
+    assert hash(i1) == hash(j1)
+    if i1 == i2:
+        assert i1 is i2, "equal interned nodes must be the same object"
+        assert hash(i1) == hash(i2)
+    assert str(i1) == ref.render(i1)
+    assert (repr(i1) == repr(i2)) == (ref.key(i1) == ref.key(i2))
+
+
 def _check_term_pair(spec1, spec2, binding_spec):
     i1, i2 = _build_term(spec1, T), _build_term(spec2, T)
-    r1, r2 = _build_term(spec1, ref), _build_term(spec2, ref)
-    # Equality agrees with the reference dataclasses; equal means identical.
-    assert (i1 == i2) == (r1 == r2)
-    if i1 == i2:
-        assert i1 is i2, "equal interned terms must be the same object"
-        assert hash(i1) == hash(i2)
-    # Rendering and the cached per-node facts.
-    assert str(i1) == str(r1)
-    assert repr(i1) == repr(r1)
-    assert free_vars(i1) == ref.free_vars(r1)
-    assert term_size(i1) == ref.term_size(r1)
-    assert is_ground(i1) == (not ref.free_vars(r1))
-    # Substitution commutes with the representation change.
+    _check_pair(i1, i2, _build_term(spec1, T))
+    # The cached per-node facts.
+    assert free_vars(i1) == ref.free(i1)
+    assert term_size(i1) == ref.size(i1)
+    assert is_ground(i1) == (not ref.free(i1))
+    # The memoized substitution agrees with the recursive one.
     ib = {k: _build_term(v, T) for k, v in binding_spec.items()}
-    rb = {k: _build_term(v, ref) for k, v in binding_spec.items()}
-    assert ref.to_reference(subst(i1, ib)) == ref.subst(r1, rb)
+    kb = {k: ref.key(v) for k, v in ib.items()}
+    assert ref.key(subst(i1, ib)) == ref.subst_key(i1, kb)
 
 
 def _check_formula_pair(spec1, spec2, binding_spec):
     i1, i2 = _build_formula(spec1, F), _build_formula(spec2, F)
-    r1, r2 = _build_formula(spec1, ref), _build_formula(spec2, ref)
-    assert (i1 == i2) == (r1 == r2)
-    if i1 == i2:
-        assert i1 is i2, "equal interned formulas must be the same object"
-        assert hash(i1) == hash(i2)
-    assert str(i1) == str(r1)
-    assert repr(i1) == repr(r1)
-    assert formula_free_vars(i1) == ref.formula_free_vars(r1)
+    _check_pair(i1, i2, _build_formula(spec1, F))
+    assert formula_free_vars(i1) == ref.free(i1)
     ib = {k: _build_term(v, T) for k, v in binding_spec.items()}
-    rb = {k: _build_term(v, ref) for k, v in binding_spec.items()}
-    assert ref.to_reference(subst_formula(i1, ib)) == ref.subst_formula(r1, rb)
+    kb = {k: ref.key(v) for k, v in ib.items()}
+    assert ref.key(subst_formula(i1, ib)) == ref.subst_key(i1, kb)
 
 
 _SEED_CASES = [(seed, seed % len(_BINDING_SPECS)) for seed in range(60)]

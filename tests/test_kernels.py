@@ -1,28 +1,31 @@
-"""Cross-checks between the flat integer-id kernel and the reference e-graph.
+"""The e-graph kernel checked against the naive oracle.
 
-The flat kernel (struct-of-arrays congruence closure + compiled trigger
-programs, ``src/repro/prover/kernels/``) is a re-representation of the
-reference ``_Node`` object graph, not a different prover: both must return
-byte-identical results — same verdicts, same counterexample contexts, same
-round-by-round instance admissions, same search counters — while the flat
-kernel performs strictly fewer Python-level structural visits.  These tests
-pin that contract (docs/KERNELS.md):
+The kernel (struct-of-arrays congruence closure + compiled trigger
+programs, ``src/repro/prover/kernels/``) is checked against
+``tests/oracle_egraph.py`` in two ways (docs/KERNELS.md):
 
-* obligation-level cross-checks over the shipped optimization suite
-  (fast subset always; the full suite under ``-m slow``), comparing report
-  fingerprints, search fingerprints, and structural-visit counts;
-* 50 seeded-random goals with round-instance recording;
-* every stored fuzzing-corpus entry replayed under both kernels, with the
-  known-unsound rules additionally cross-checked fingerprint-for-fingerprint;
-* randomized union-find/arena traces (add_term / assert_eq / assert_diseq /
-  push / pop) compared state-for-state between the two substrates;
-* proof-cache hits must survive a kernel switch: the kernel is excluded
-  from the cache fingerprint *because* results are byte-identical, and the
-  schema version must not change for a pure re-representation.
+* randomized traces (add_term / assert_eq / assert_diseq / push / pop)
+  drive the kernel and the naive recomputing closure side by side,
+  comparing the relation and conflict status of every term pair, the
+  classes, numeral values and representatives after every operation;
+* every prover search over the shipped suite, the fuzzing corpus and
+  seeded-random goals runs on the *audited* kernel — the ``"reference"``
+  parameter below — which checks the closure invariants (congruence,
+  injectivity, numerals, folding, member cycles, representatives) at
+  every decision and every instantiation round.  Auditing only observes,
+  so audited and plain (``"flat"``) runs must be byte-identical.
+
+The proof cache must not notice that the kernel and mode switches are
+gone: the schema version and config fingerprint are unchanged, and a store
+written while they still existed replays with zero misses.
 """
 
+import contextlib
 import random
-from dataclasses import replace
+import shutil
+import time
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -32,18 +35,13 @@ from repro.fuzz.campaign import FRONTIER_PROVER_OPTIONS
 from repro.logic.formulas import And, Eq, Implies, Pred
 from repro.logic.terms import App, IntConst
 from repro.opts import ALL_OPTIMIZATIONS, taintedness_analysis
+from repro.opts.buggy import ALL_BUGGY
 from repro.prover import Prover, ProverConfig
-from repro.prover.egraph import EGraph
-from repro.prover.kernels import (
-    KERNEL_NAMES,
-    FlatEGraph,
-    compile_trigger,
-    kernel_identity,
-    make_egraph,
-)
+from repro.prover.kernels import FlatEGraph, compile_trigger, kernel_identity
 from repro.verify import SoundnessChecker
 from repro.verify.cache import SCHEMA_VERSION, config_fingerprint
 
+from tests.oracle_egraph import NaiveEGraph, audited_kernel
 from tests.test_prover_incremental import (
     FAST_OPTS,
     _explosive_setup,
@@ -52,36 +50,25 @@ from tests.test_prover_incremental import (
     _report_fingerprint,
 )
 
+#: ``"flat"`` is the kernel as shipped; ``"reference"`` is the same kernel
+#: audited against the oracle's closure invariants.
 KERNELS = ("reference", "flat")
 
 
+def _kernel(kernel):
+    return audited_kernel() if kernel == "reference" else contextlib.nullcontext()
+
+
 # ---------------------------------------------------------------------------
-# Obligation-level byte-identity over the shipped suite.
+# Obligation-level audits over the shipped suite.
 # ---------------------------------------------------------------------------
 
 
 def _check_kernels(opt):
-    fps, stats = {}, {}
-    for kernel in KERNELS:
-        checker = SoundnessChecker(
-            config=ProverConfig(timeout_s=120.0, kernel=kernel)
-        )
+    checker = SoundnessChecker(config=ProverConfig(timeout_s=120.0))
+    with audited_kernel():
         report = checker.check_optimization(opt)
-        fps[kernel] = _report_fingerprint(report)
-        stats[kernel] = report.prover_stats()
-    assert fps["reference"] == fps["flat"], f"{opt.name}: kernels disagree"
-    # The search itself must be the same search: every counter that drives
-    # or observes control flow coincides...
-    assert (
-        stats["reference"].search_fingerprint()
-        == stats["flat"].search_fingerprint()
-    ), f"{opt.name}: search counters diverged"
-    # ...while the flat kernel touches strictly fewer Python-level objects
-    # (the tentpole's perf claim, stated as an invariant).
-    assert stats["flat"].struct_visits < stats["reference"].struct_visits, (
-        f"{opt.name}: flat visits {stats['flat'].struct_visits} "
-        f">= reference visits {stats['reference'].struct_visits}"
-    )
+    assert report.sound, f"{opt.name}: rejected on the audited kernel"
 
 
 @pytest.mark.parametrize("opt", FAST_OPTS, ids=lambda o: o.name)
@@ -97,19 +84,14 @@ def test_kernels_identical_full_suite(opt):
 
 @pytest.mark.slow
 def test_kernels_identical_analysis():
-    fps = {}
-    for kernel in KERNELS:
-        checker = SoundnessChecker(
-            config=ProverConfig(timeout_s=120.0, kernel=kernel)
-        )
-        fps[kernel] = _report_fingerprint(
-            checker.check_analysis(taintedness_analysis)
-        )
-    assert fps["reference"] == fps["flat"]
+    checker = SoundnessChecker(config=ProverConfig(timeout_s=120.0))
+    with audited_kernel():
+        report = checker.check_analysis(taintedness_analysis)
+    assert report.sound
 
 
 # ---------------------------------------------------------------------------
-# Seeded-random goals: verdict, context, rounds, and counters per kernel.
+# Seeded-random goals: verdict, context, and rounds, audited and plain.
 # ---------------------------------------------------------------------------
 
 
@@ -118,21 +100,17 @@ def _prove_both_kernels(goal, axioms=(), cfg_kw=None):
     kw.update(cfg_kw or {})
     out = {}
     for kernel in KERNELS:
-        prover = Prover(list(axioms), config=ProverConfig(kernel=kernel, **kw))
-        result = prover.prove(goal)
+        prover = Prover(list(axioms), config=ProverConfig(**kw))
+        with _kernel(kernel):
+            result = prover.prove(goal)
         rounds = [sorted(r) for r in (result.round_instances or [])]
-        out[kernel] = (
-            result.status,
-            tuple(result.context),
-            rounds,
-            result.stats.search_fingerprint(),
-        )
-    assert out["reference"] == out["flat"], "kernels diverged"
+        out[kernel] = (result.status, tuple(result.context), rounds)
+    assert out["reference"] == out["flat"], "auditing changed the search"
     return out["reference"]
 
 
 def test_random_goals_identical():
-    """50 seeded-random goals: same verdict, context, rounds, counters."""
+    """50 seeded-random goals on the audited kernel."""
     theory = _random_theory()
     proved = 0
     for seed in range(50):
@@ -141,7 +119,7 @@ def test_random_goals_identical():
         if seed % 2:
             other = gen.formula()
             goal = Implies(And((goal, Implies(goal, other))), other)
-        status, _, _, _ = _prove_both_kernels(
+        status, _, _ = _prove_both_kernels(
             goal,
             theory,
             cfg_kw=dict(max_rounds=4, max_instances=500, timeout_s=10.0),
@@ -151,7 +129,7 @@ def test_random_goals_identical():
 
 
 def test_quantified_goal_rounds_identical():
-    """A goal whose proof needs instantiation rounds, both kernels."""
+    """A goal whose proof needs instantiation rounds, audited."""
     from repro.logic.terms import LVar
     from repro.logic.formulas import Forall
 
@@ -165,22 +143,20 @@ def test_quantified_goal_rounds_identical():
         ),
     ]
     goal = Implies(Pred("P", (App("a"),)), Pred("Q", (f(App("a")),)))
-    status, _, rounds, _ = _prove_both_kernels(goal, axioms)
+    status, _, rounds = _prove_both_kernels(goal, axioms)
     assert status.name == "PROVED"
     assert rounds, "instantiation rounds were recorded"
 
 
 # ---------------------------------------------------------------------------
-# Fuzzing corpus: every stored failure replays identically per kernel.
+# Fuzzing corpus: every stored failure replays, audited and plain.
 # ---------------------------------------------------------------------------
 
 ENTRIES = load_entries(DEFAULT_CORPUS_DIR)
 
 
-def _kernel_verify_options(kernel):
-    return VerifyOptions(
-        prover=replace(FRONTIER_PROVER_OPTIONS, kernel=kernel)
-    )
+def _corpus_options():
+    return VerifyOptions(prover=FRONTIER_PROVER_OPTIONS)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -188,7 +164,8 @@ def _kernel_verify_options(kernel):
     "path,entry", ENTRIES, ids=[p.name for p, _ in ENTRIES]
 )
 def test_corpus_replays_per_kernel(path, entry, kernel):
-    ok, detail = replay_entry(entry, _kernel_verify_options(kernel))
+    with _kernel(kernel):
+        ok, detail = replay_entry(entry, _corpus_options())
     assert ok, f"{path.name} [{kernel}]: {detail}"
 
 
@@ -205,20 +182,21 @@ def test_corpus_unsound_rules_fingerprint_identical(path, entry):
     rule = rule_from_json(entry.data["rule"])
     fps = {}
     for kernel in KERNELS:
-        report = check_optimization(rule, _kernel_verify_options(kernel))
+        with _kernel(kernel):
+            report = check_optimization(rule, _corpus_options())
         assert not report.sound, f"{path.name} [{kernel}]: now proves SOUND"
         fps[kernel] = _report_fingerprint(report)
-    assert fps["reference"] == fps["flat"], f"{path.name}: kernels disagree"
+    assert fps["reference"] == fps["flat"], f"{path.name}: auditing changed it"
 
 
 # ---------------------------------------------------------------------------
-# Randomized substrate traces: the two e-graphs, state for state.
+# Randomized substrate traces: the kernel against the naive closure.
 #
-# The prover-level tests above exercise the kernels through one search
-# policy; this drives the substrates directly with operation sequences the
-# search would never emit (deep push/pop nests, disequalities between
-# interior terms, redundant asserts), comparing every observable after
-# every operation.
+# The prover-level tests above exercise the kernel through one search
+# policy; this drives it directly with operation sequences the search
+# would never emit (deep push/pop nests, disequalities between interior
+# terms, redundant asserts, arithmetic folding), comparing every
+# observable after every operation.
 # ---------------------------------------------------------------------------
 
 _TRACE_CONSTRUCTORS = ("nil", "cons")
@@ -241,116 +219,120 @@ class _TraceGen:
             if roll < 0.8:
                 return IntConst(r.randrange(3))
             return App("nil")
-        fn = r.choice(["f", "g", "pair", "cons", "add"])
-        if fn in ("pair", "cons", "add"):
+        fn = r.choice(["f", "g", "pair", "cons", "@plus", "@times"])
+        if fn in ("pair", "cons", "@plus", "@times"):
             return App(fn, (self.term(depth - 1), self.term(depth - 1)))
         return App(fn, (self.term(depth - 1),))
 
 
-def _observables(eg, probe_terms):
-    """Everything a client can see, in kernel-independent form."""
-    n = len(eg.node_terms)
-    finds = tuple(eg.find(i) for i in range(n))
-    classes = {}
-    for i, root in enumerate(finds):
-        classes.setdefault(root, []).append(i)
-    membership = frozenset(frozenset(v) for v in classes.values())
-    ints = tuple(eg.class_int_value(root) for root in sorted(classes))
-    reprs = tuple(str(eg.representative(root)) for root in sorted(classes))
-    pairs = []
-    for i in range(0, len(probe_terms) - 1, 2):
-        t1, t2 = probe_terms[i], probe_terms[i + 1]
-        pairs.append((eg.are_equal(t1, t2), eg.are_diseq(t1, t2)))
-    return (
-        n,
-        finds,
-        membership,
-        ints,
-        reprs,
-        tuple(eg.events),
-        eg.generation,
-        eg.conflict,
-        tuple(pairs),
-    )
+def _compare(flat, naive, probes):
+    """Relations of every probe pair, classes, numerals, representatives."""
+    ids = [flat.add_term(t) for t in probes]
+    for i, (t1, a) in enumerate(zip(probes, ids)):
+        assert flat.class_int_value(a) == naive.value.get(naive.find(t1)), t1
+        assert flat.representative(a) == naive.representative(t1), t1
+        for t2, b in zip(probes[i + 1:], ids[i + 1:]):
+            assert flat.relation_ids(a, b) == naive.relation(t1, t2), (t1, t2)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_traces_identical(seed):
     gen = _TraceGen(seed)
     rng = gen.rng
-    ref = EGraph(constructors=_TRACE_CONSTRUCTORS)
     flat = FlatEGraph(constructors=_TRACE_CONSTRUCTORS)
+    naive = NaiveEGraph(constructors=_TRACE_CONSTRUCTORS)
+    # One scope is always open, so a conflict can be popped away.
+    flat.push()
+    naive.push()
+    depth = 1
     added = []
-    depth = 0
-    for step in range(120):
+    for step in range(80):
         roll = rng.random()
         if roll < 0.35 or not added:
             t = gen.term()
             added.append(t)
-            assert ref.add_term(t) == flat.add_term(t)
+            flat.add_term(t)
+            naive.add_term(t)
+            ok = True
         elif roll < 0.60:
-            t1, t2 = rng.choice(added), rng.choice(added)
-            assert ref.assert_eq(t1, t2) == flat.assert_eq(t1, t2)
+            # Often two constants, so argument classes merge under their
+            # parents (congruence on every argument position).
+            pool = gen.consts if rng.random() < 0.5 else naive.terms
+            t1, t2 = rng.choice(pool), rng.choice(pool)
+            ok = flat.assert_eq(t1, t2)
+            assert naive.assert_eq(t1, t2) == ok, f"seed {seed} step {step}: {t1} = {t2}"
         elif roll < 0.75:
             t1, t2 = rng.choice(added), rng.choice(added)
-            assert ref.assert_diseq(t1, t2) == flat.assert_diseq(t1, t2)
+            ok = flat.assert_diseq(t1, t2)
+            assert naive.assert_diseq(t1, t2) == ok, f"seed {seed} step {step}: {t1} != {t2}"
         elif roll < 0.85:
-            ref.push()
             flat.push()
+            naive.push()
             depth += 1
-        elif roll < 0.95 and depth:
-            ref.pop()
+            ok = True
+        elif roll < 0.95 and depth > 1:
             flat.pop()
+            naive.pop()
             depth -= 1
+            ok = True
         else:
-            assert ref.bump_generation() == flat.bump_generation()
-        probes = [rng.choice(added) for _ in range(6)] if added else []
-        assert _observables(ref, probes) == _observables(flat, probes), (
-            f"seed {seed}: state diverged after step {step}"
-        )
-    # Unwind every remaining scope: pop must restore both substrates to
-    # the same (still mutually identical) state.
+            flat.bump_generation()
+            ok = True
+        if not ok:
+            # The conflicting scope is dead: drop it on both sides.
+            flat.pop()
+            naive.pop()
+            if depth == 1:
+                flat.push()
+                naive.push()
+            else:
+                depth -= 1
+        _compare(flat, naive, naive.terms)
+    # Unwind every remaining scope: pop must restore the earlier states.
     while depth:
-        ref.pop()
         flat.pop()
+        naive.pop()
         depth -= 1
-        probes = [rng.choice(added) for _ in range(6)]
-        assert _observables(ref, probes) == _observables(flat, probes)
+        _compare(flat, naive, naive.terms)
 
 
 def test_members_agree_as_sets():
-    """Member iteration order may differ (circular cycle vs list); the sets
-    must not."""
+    """Member iteration order is a cycle order; the sets must match the
+    naive classes."""
     gen = _TraceGen(99)
-    ref = EGraph(constructors=_TRACE_CONSTRUCTORS)
     flat = FlatEGraph(constructors=_TRACE_CONSTRUCTORS)
+    naive = NaiveEGraph(constructors=_TRACE_CONSTRUCTORS)
     terms = [gen.term(3) for _ in range(30)]
     for t in terms:
-        ref.add_term(t)
         flat.add_term(t)
+        naive.add_term(t)
     for i in range(0, 28, 2):
-        ref.assert_eq(terms[i], terms[i + 1])
-        flat.assert_eq(terms[i], terms[i + 1])
-    for i in range(len(ref.node_terms)):
-        assert set(ref.members(ref.find(i))) == set(flat.members(flat.find(i)))
+        flat.push()
+        naive.push()
+        if not flat.assert_eq(terms[i], terms[i + 1]):
+            assert not naive.assert_eq(terms[i], terms[i + 1])
+            flat.pop()
+            naive.pop()
+        else:
+            assert naive.assert_eq(terms[i], terms[i + 1])
+    for t in naive.terms:
+        members = {flat.node_terms[m] for m in flat.members(flat.add_term(t))}
+        assert members & set(naive.terms) == naive.class_of(t)
 
 
 # ---------------------------------------------------------------------------
-# Timeout enforcement inside the flat matcher.
+# Timeout enforcement inside the matcher.
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_timeout_enforced_mid_match(kernel):
-    import time
-
     axioms, goal = _explosive_setup()
-    cfg = ProverConfig(
-        timeout_s=0.2, max_rounds=50, max_instances=500_000, kernel=kernel
-    )
+    cfg = ProverConfig(timeout_s=0.2, max_rounds=50, max_instances=500_000)
     prover = Prover(axioms, config=cfg)
     start = time.monotonic()
-    result = prover.prove(goal)
+    with _kernel(kernel):
+        result = prover.prove(goal)
     elapsed = time.monotonic() - start
     assert not result.proved
     assert elapsed < 5.0, f"prove() took {elapsed:.2f}s against timeout_s=0.2"
@@ -358,71 +340,67 @@ def test_timeout_enforced_mid_match(kernel):
 
 
 # ---------------------------------------------------------------------------
-# Cache identity: the kernel must be invisible to the proof cache.
+# Cache identity: removing the kernel and mode switches changed no key.
 # ---------------------------------------------------------------------------
+
+#: A proof store written before the kernel/mode switches were removed:
+#: constProp (proved), buggyConstPropNoPointers and buggyConstFoldWrongResult
+#: (refuted; failures replay only under the same backend identity), checked
+#: with ``ProverOptions(timeout_s=120.0)``.
+PARENT_STORE = Path(__file__).parent / "golden" / "parent_store"
 
 
 def test_cache_schema_and_fingerprint_exclude_kernel():
     assert SCHEMA_VERSION == 4, (
-        "kernel selection changed the cache schema; a pure re-representation "
-        "must not invalidate existing caches"
+        "collapsing the kernels changed the cache schema; a pure "
+        "simplification must not invalidate existing caches"
     )
-    assert config_fingerprint(
-        ProverConfig(kernel="flat")
-    ) == config_fingerprint(ProverConfig(kernel="reference"))
+    names = {f.name for f in fields(ProverConfig)}
+    assert "kernel" not in names and "mode" not in names
+    assert config_fingerprint(ProverConfig(timeout_s=120.0)) == (
+        "rounds=12;instances=20000;decisions=200000;timeout=120.0"
+    )
 
 
 def test_cache_hits_survive_kernel_switch(tmp_path):
-    by_name = {o.name: o for o in ALL_OPTIMIZATIONS}
-    opt = by_name["constProp"]
-    first = SoundnessChecker(
+    store = tmp_path / "store"
+    shutil.copytree(PARENT_STORE, store)
+    by_name = {o.name: o for o in list(ALL_OPTIMIZATIONS) + list(ALL_BUGGY)}
+    checker = SoundnessChecker(
         options=VerifyOptions(
-            cache_dir=str(tmp_path),
-            prover=ProverOptions(kernel="flat", timeout_s=120.0),
+            cache_dir=str(store), prover=ProverOptions(timeout_s=120.0)
         )
     )
-    report_flat = first.check_optimization(opt)
-    assert first.cache is not None and first.cache.stats.stores > 0
-    second = SoundnessChecker(
-        options=VerifyOptions(
-            cache_dir=str(tmp_path),
-            prover=ProverOptions(kernel="reference", timeout_s=120.0),
+    verdicts = [
+        checker.check_optimization(by_name[name]).sound
+        for name in (
+            "constProp", "buggyConstPropNoPointers", "buggyConstFoldWrongResult"
         )
-    )
-    report_ref = second.check_optimization(opt)
-    assert second.cache.stats.hits > 0, "kernel switch lost every cache hit"
-    assert second.cache.stats.misses == 0, (
-        "some obligations re-proved after a kernel switch"
-    )
-    assert _report_fingerprint(report_flat) == _report_fingerprint(report_ref)
+    ]
+    assert verdicts == [True, False, False]
+    assert checker.cache.stats.hits > 0
+    assert checker.cache.stats.misses == 0, "a stored verdict did not replay"
 
 
 # ---------------------------------------------------------------------------
-# Kernel plumbing: registry, identities, trigger compilation errors.
+# Kernel plumbing: identities, trigger compilation errors.
 # ---------------------------------------------------------------------------
 
 
-def test_make_egraph_and_identities():
-    assert set(KERNELS) == set(KERNEL_NAMES)
-    assert isinstance(make_egraph("reference", _TRACE_CONSTRUCTORS), EGraph)
-    assert isinstance(make_egraph("flat", _TRACE_CONSTRUCTORS), FlatEGraph)
-    with pytest.raises(ValueError):
-        make_egraph("turbo", ())
-    assert kernel_identity("reference") == "reference/object-graph"
-    assert kernel_identity("flat").startswith("flat/")
-    with pytest.raises(ValueError):
-        Prover([], config=ProverConfig(kernel="turbo")).prove(
-            Eq(App("a"), App("a"))
-        )
+def test_kernel_identities():
+    assert ProverConfig.kernel == "flat"
+    assert ProverConfig().kernel == "flat"
+    assert kernel_identity(ProverConfig().kernel).startswith("flat/")
+    with pytest.raises(TypeError):
+        ProverConfig(kernel="flat")
 
 
 def test_stats_report_kernel_identity():
-    for kernel in KERNELS:
-        prover = Prover([], config=ProverConfig(kernel=kernel))
-        result = prover.prove(Eq(App("a"), App("a")))
-        assert result.stats.kernel == kernel_identity(kernel)
-        assert kernel_identity(kernel) in result.stats.table()
-        assert "structural visits" in result.stats.table()
+    prover = Prover([], config=ProverConfig())
+    result = prover.prove(Eq(App("a"), App("a")))
+    assert result.stats.kernel == kernel_identity("flat")
+    assert kernel_identity("flat") in result.stats.table()
+    assert "structural visits" in result.stats.table()
 
 
 def test_compile_trigger_rejects_bare_variable():

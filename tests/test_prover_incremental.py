@@ -1,10 +1,13 @@
-"""Cross-checks between the incremental and reference prover modes.
+"""The incremental prover search checked against the naive definitions.
 
-The incremental mode (mod-times E-matching + watched ground clauses) is an
-optimization of the reference mode (full re-match, full rescan), not a
-different prover: both must return byte-identical results — same status,
-same counterexample context — and, round by round, admit the *same set* of
-ground instances.  These tests pin that contract:
+The search (mod-times E-matching + watched ground clauses) is an
+optimization of the naive one — full re-match every round, full rescan
+every propagation pass — not a different prover.  ``tests/oracle_scan.py``
+swaps the naive definitions in: the ``"reference"`` runs below re-check
+every stable scan against a full rescan and match the whole e-graph every
+round.  Results must be byte-identical — same status, same counterexample
+context — and, round by round, the *same set* of ground instances must be
+admitted:
 
 * obligation-level cross-checks over the shipped optimization suite
   (fast subset always; the full suite under ``-m slow``);
@@ -14,6 +17,8 @@ ground instances.  These tests pin that contract:
 * a timeout regression: ``prove`` must return within a small factor of
   ``timeout_s`` even while an explosive E-matching round is in flight.
 """
+
+import contextlib
 
 import random
 import time
@@ -38,7 +43,15 @@ from repro.verify.encode import CONSTRUCTORS, all_axioms
 from repro.verify.obligations import ObligationBuilder
 from repro.cobalt.labels import standard_registry
 
+from tests.oracle_scan import reference_search
+
+#: ``"incremental"`` is the production search as shipped; ``"reference"``
+#: is the same search under the naive rescan and full re-match oracles.
 MODES = ("reference", "incremental")
+
+
+def _mode(mode):
+    return reference_search() if mode == "reference" else contextlib.nullcontext()
 
 #: Cheap rows for the always-on cross-check; the slow test covers the rest.
 FAST_OPTS = [
@@ -64,10 +77,9 @@ def _report_fingerprint(report):
 def _check_modes(opt):
     fps = {}
     for mode in MODES:
-        checker = SoundnessChecker(
-            config=ProverConfig(timeout_s=120.0, mode=mode)
-        )
-        fps[mode] = _report_fingerprint(checker.check_optimization(opt))
+        checker = SoundnessChecker(config=ProverConfig(timeout_s=120.0))
+        with _mode(mode):
+            fps[mode] = _report_fingerprint(checker.check_optimization(opt))
     assert fps["reference"] == fps["incremental"], (
         f"{opt.name}: modes disagree"
     )
@@ -88,20 +100,19 @@ def test_modes_identical_full_suite(opt):
 def test_modes_identical_analysis():
     fps = {}
     for mode in MODES:
-        checker = SoundnessChecker(
-            config=ProverConfig(timeout_s=120.0, mode=mode)
-        )
-        fps[mode] = _report_fingerprint(
-            checker.check_analysis(taintedness_analysis)
-        )
+        checker = SoundnessChecker(config=ProverConfig(timeout_s=120.0))
+        with _mode(mode):
+            fps[mode] = _report_fingerprint(
+                checker.check_analysis(taintedness_analysis)
+            )
     assert fps["reference"] == fps["incremental"]
 
 
 # ---------------------------------------------------------------------------
 # Round-by-round instance-set equivalence.
 #
-# The mod-times completeness argument says: every instance the reference
-# mode's full re-enumeration discovers in round r is either newly matchable
+# The mod-times completeness argument says: every instance a full
+# re-enumeration discovers in round r is either newly matchable
 # (and thus found by the restricted passes) or was deferred by the relevance
 # guard in an earlier round (and thus carried over).  Recording the admitted
 # instances per round makes that argument executable.
@@ -114,9 +125,7 @@ def _rounds_for_obligations(opt_names):
     builder = ObligationBuilder(standard_registry(), {})
     traces = {mode: [] for mode in MODES}
     for mode in MODES:
-        cfg = ProverConfig(
-            timeout_s=120.0, mode=mode, record_round_instances=True
-        )
+        cfg = ProverConfig(timeout_s=120.0, record_round_instances=True)
         prover = Prover(all_axioms(), constructors=CONSTRUCTORS, config=cfg)
         for name in opt_names:
             pattern = by_name[name].pattern
@@ -127,7 +136,8 @@ def _rounds_for_obligations(opt_names):
             else:
                 obligations = builder.forward_obligations(pattern)
             for ob in obligations:
-                result = discharge_obligation(prover, name, ob)
+                with _mode(mode):
+                    result = discharge_obligation(prover, name, ob)
                 traces[mode].append((name, ob.name, result.proved))
     return traces
 
@@ -151,10 +161,9 @@ def _prove_both(goal, axioms=(), cfg_kw=None):
     kw.update(cfg_kw or {})
     out = {}
     for mode in MODES:
-        prover = Prover(
-            list(axioms), config=ProverConfig(mode=mode, **kw)
-        )
-        result = prover.prove(goal)
+        prover = Prover(list(axioms), config=ProverConfig(**kw))
+        with _mode(mode):
+            result = prover.prove(goal)
         rounds = [sorted(r) for r in (result.round_instances or [])]
         out[mode] = (result.status, tuple(result.context), rounds)
     assert out["reference"] == out["incremental"], "modes diverged"
@@ -218,8 +227,8 @@ class _GoalGen:
 
 
 #: Quantified background theory so random goals exercise E-matching, the
-#: relevance guard is irrelevant here (no kind literals), and both the
-#: watched and reference scans see merges, disequalities, and backtracking.
+#: relevance guard is irrelevant here (no kind literals), and the watched
+#: scan and its naive re-check see merges, disequalities, and backtracking.
 def _random_theory():
     x, y = LVar("x"), LVar("y")
     f = lambda t: App("f", (t,))
@@ -290,12 +299,11 @@ def _explosive_setup():
 @pytest.mark.parametrize("mode", MODES)
 def test_timeout_enforced_mid_instantiation(mode):
     axioms, goal = _explosive_setup()
-    cfg = ProverConfig(
-        timeout_s=0.2, max_rounds=50, max_instances=500_000, mode=mode
-    )
+    cfg = ProverConfig(timeout_s=0.2, max_rounds=50, max_instances=500_000)
     prover = Prover(axioms, config=cfg)
     start = time.monotonic()
-    result = prover.prove(goal)
+    with _mode(mode):
+        result = prover.prove(goal)
     elapsed = time.monotonic() - start
     assert not result.proved
     # Generous factor for loaded CI machines; without the in-loop deadline

@@ -177,7 +177,7 @@ class TestOptionsRoundTrips:
             cache_dir="/tmp/cache",
             cache_url="http://localhost:8417",
             obligation_timeout_s=12.5,
-            prover=ProverOptions(mode="reference", timeout_s=9.0),
+            prover=ProverOptions(timeout_s=9.0, max_rounds=5),
         )
         back = VerifyOptions.from_wire(options.to_wire())
         assert back == options
@@ -190,14 +190,38 @@ class TestOptionsRoundTrips:
         assert back.prover == ProverOptions()
 
     def test_prover_options_round_trip(self):
-        options = ProverOptions(mode="reference", kernel="reference",
-                                timeout_s=1.0, max_rounds=2)
-        assert ProverOptions.from_wire(options.to_wire()) == options
+        options = ProverOptions(timeout_s=1.0, max_rounds=2)
+        doc = options.to_wire()
+        assert ProverOptions.from_wire(doc) == options
+        assert "mode" not in doc and "kernel" not in doc
 
     def test_engine_options_round_trip(self):
-        options = EngineOptions(mode="reference", iterate=True,
-                                collect_stats=True)
-        assert EngineOptions.from_wire(options.to_wire()) == options
+        options = EngineOptions(iterate=True, collect_stats=True)
+        doc = options.to_wire()
+        assert EngineOptions.from_wire(doc) == options
+        assert "mode" not in doc
+
+    def test_older_clients_mode_and_kernel_keys_still_decode(self):
+        """Clients from before the prover-mode, kernel and engine switches
+        were removed send those keys on every request; they decode, and
+        are ignored."""
+        prover_doc = envelope("prover-options", {
+            "mode": "reference", "kernel": "reference",
+            "timeout_s": 9.0, "max_rounds": 5,
+        })
+        assert ProverOptions.from_wire(prover_doc) == ProverOptions(
+            timeout_s=9.0, max_rounds=5
+        )
+        verify_doc = envelope("verify-options", {
+            "backend": "internal", "prover": prover_doc,
+        })
+        assert VerifyOptions.from_wire(verify_doc).prover == ProverOptions(
+            timeout_s=9.0, max_rounds=5
+        )
+        engine_doc = envelope("engine-options", {
+            "mode": "reference", "iterate": True,
+        })
+        assert EngineOptions.from_wire(engine_doc) == EngineOptions(iterate=True)
 
 
 class TestRunResultRoundTrip:
