@@ -41,7 +41,7 @@ _PROVER = ProverOptions(timeout_s=120.0)
 _INTERNAL = {}   # name -> (elapsed_s, canonical)
 _PORTFOLIO = {}  # name -> (elapsed_s, canonical)
 _SMTLIB = {}     # name -> (proved_obligations, conclusive, agree)
-_SESSION = {}    # name -> row dict (session vs per-process discipline)
+_SESSION = {}    # name -> row dict (warm vs per-query solver processes)
 _SOLVER = {"cmd": None, "real": False}
 
 
@@ -53,7 +53,18 @@ def solver_cmd(tmp_path_factory):
         _SOLVER.update(cmd=cmd, real=True)
         return cmd
     script = tmp_path_factory.mktemp("fake-solver") / "unknown.py"
-    script.write_text("import time\ntime.sleep(0.05)\nprint('unknown')\n")
+    script.write_text(
+        "import sys, time\n"
+        "for raw in sys.stdin:\n"
+        "    line = raw.strip()\n"
+        "    if line.startswith('(check-sat'):\n"
+        "        time.sleep(0.05)\n"
+        "        print('unknown', flush=True)\n"
+        "    elif line.startswith('(echo'):\n"
+        "        print(line.split('\"')[1], flush=True)\n"
+        "    elif line.startswith('(exit'):\n"
+        "        break\n"
+    )
     cmd = (sys.executable, str(script))
     _SOLVER.update(cmd=cmd, real=False)
     return cmd
@@ -127,98 +138,92 @@ def test_smtlib_agreement_row(opt):
 
 
 @pytest.fixture(scope="module")
-def dual_solver(tmp_path_factory):
-    """A scripted solver speaking *both* process disciplines.
+def stdin_solver(tmp_path_factory):
+    """A scripted solver speaking the stdin contract.
 
-    The session rows compare solver-process disciplines, not solver
-    strength, so they always run against this deterministic stand-in: it
-    answers ``unsat`` whether given a script path (spawn-per-script) or
-    driven incrementally over stdin (session).  The per-query cost is the
-    interpreter spawn itself — exactly the overhead sessions amortize."""
-    script = tmp_path_factory.mktemp("dual-solver") / "dual.py"
+    The session rows compare how many queries one solver process serves,
+    not solver strength, so they always run against this deterministic
+    stand-in: it answers ``unsat`` to every ``(check-sat)``.  The
+    per-query cost of a fresh process is the interpreter spawn itself —
+    exactly the overhead a warm process amortizes."""
+    script = tmp_path_factory.mktemp("stdin-solver") / "unsat.py"
     script.write_text(
         "import sys\n"
-        "if len(sys.argv) > 1:\n"
-        "    print('unsat')\n"
-        "else:\n"
-        "    for raw in sys.stdin:\n"
-        "        line = raw.strip()\n"
-        "        if line.startswith('(check-sat'):\n"
-        "            print('unsat', flush=True)\n"
-        "        elif line.startswith('(echo'):\n"
-        "            print(line.split('\"')[1], flush=True)\n"
-        "        elif line.startswith('(exit'):\n"
-        "            break\n"
+        "for raw in sys.stdin:\n"
+        "    line = raw.strip()\n"
+        "    if line.startswith('(check-sat'):\n"
+        "        print('unsat', flush=True)\n"
+        "    elif line.startswith('(echo'):\n"
+        "        print(line.split('\"')[1], flush=True)\n"
+        "    elif line.startswith('(exit'):\n"
+        "        break\n"
     )
     return (sys.executable, str(script))
 
 
 @pytest.mark.parametrize("opt", _ROWS, ids=lambda o: o.name)
-def test_session_row(benchmark, dual_solver, opt):
-    """E9 session rows: warm sessions vs spawn-per-script, same verdicts."""
+def test_session_row(benchmark, stdin_solver, opt):
+    """E9 session rows: one warm process (``max_session_queries=0``) vs a
+    fresh process per query (``1``, the default), same verdicts."""
     row = {"optimization": opt.name}
     canonical = {}
 
-    def leg(session: bool):
+    def leg(queries: int):
         options = VerifyOptions(
             backend="smtlib",
-            solver_cmd=dual_solver,
-            solver_session=session,
+            solver_cmd=stdin_solver,
+            max_session_queries=queries,
             prover=_PROVER,
         )
         checker = SoundnessChecker(options=options)
         start = time.monotonic()
         report = checker.check_optimization(opt)
         elapsed = time.monotonic() - start
-        backend = checker.backend
+        session = checker.backend.session
         stats = dict(
-            elapsed_s=elapsed,
-            spawns=backend.process_spawns,
-            queries=backend.session_queries
-            if session
-            else backend.runner.spawns,
-            fallback=backend.fallback_queries,
+            elapsed_s=elapsed, spawns=session.spawns, queries=session.queries
         )
-        canonical[session] = report.canonical()
-        backend.close()
+        canonical[queries] = report.canonical()
+        checker.backend.close()
         return stats
 
     out = {}
 
     def run():
-        out["session"] = leg(True)
+        out["warm"] = leg(0)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    perproc = leg(False)
-    session = out["session"]
-    assert canonical[True] == canonical[False], (
-        f"{opt.name}: session and spawn-per-script reports disagree"
+    per_query = leg(1)
+    warm = out["warm"]
+    assert canonical[0] == canonical[1], (
+        f"{opt.name}: warm and per-query process reports disagree"
     )
-    assert session["fallback"] == 0, "a healthy session never degrades"
+    assert warm["spawns"] == 1, "a healthy warm process is never respawned"
+    assert warm["queries"] == per_query["queries"] == per_query["spawns"]
     row.update(
-        session_s=round(session["elapsed_s"], 4),
-        perproc_s=round(perproc["elapsed_s"], 4),
-        session_spawns=session["spawns"],
-        perproc_spawns=perproc["spawns"],
-        queries=session["queries"],
+        warm_s=round(warm["elapsed_s"], 4),
+        per_query_s=round(per_query["elapsed_s"], 4),
+        warm_spawns=warm["spawns"],
+        per_query_spawns=per_query["spawns"],
+        queries=warm["queries"],
     )
     _SESSION[opt.name] = row
 
 
 def test_yy_session_discipline():
-    """Warm sessions strictly beat spawn-per-script on spawns and time."""
+    """A warm process strictly beats a process per query on spawns and time."""
     assert _SESSION, "run the session row benchmarks first"
-    session_spawns = sum(r["session_spawns"] for r in _SESSION.values())
-    perproc_spawns = sum(r["perproc_spawns"] for r in _SESSION.values())
-    assert session_spawns < perproc_spawns, (
-        f"sessions spawned {session_spawns} processes vs "
-        f"{perproc_spawns} per-script — amortization is broken"
+    warm_spawns = sum(r["warm_spawns"] for r in _SESSION.values())
+    per_query_spawns = sum(r["per_query_spawns"] for r in _SESSION.values())
+    assert warm_spawns < per_query_spawns, (
+        f"warm processes spawned {warm_spawns} vs {per_query_spawns} "
+        f"per query — amortization is broken"
     )
-    session_total = sum(r["session_s"] for r in _SESSION.values())
-    perproc_total = sum(r["perproc_s"] for r in _SESSION.values())
-    assert session_total < perproc_total, (
-        f"sessions took {session_total:.2f}s vs {perproc_total:.2f}s "
-        f"per-script — the warm process is not paying for itself"
+    warm_total = sum(r["warm_s"] for r in _SESSION.values())
+    per_query_total = sum(r["per_query_s"] for r in _SESSION.values())
+    assert warm_total < per_query_total, (
+        f"warm processes took {warm_total:.2f}s vs {per_query_total:.2f}s "
+        f"per query — the warm process is not paying for itself"
     )
 
 
@@ -275,26 +280,27 @@ def test_zz_report(benchmark):
     if _SESSION:
         lines.append("")
         lines.append(
-            "=== session vs spawn-per-script (scripted dual-mode stand-in) ==="
+            "=== max_session_queries 0 (warm) vs 1 (per query), "
+            "scripted stdin stand-in ==="
         )
         lines.append(
-            f"{'optimization':24s} {'session':>9s} {'perproc':>9s} "
+            f"{'optimization':24s} {'warm':>9s} {'per-query':>10s} "
             f"{'spawns':>13s} {'queries':>8s}"
         )
         for name in sorted(_SESSION):
             row = _SESSION[name]
             lines.append(
-                f"{name:24s} {row['session_s']:8.2f}s {row['perproc_s']:8.2f}s "
-                f"{row['session_spawns']:5d} vs {row['perproc_spawns']:4d} "
+                f"{name:24s} {row['warm_s']:8.2f}s {row['per_query_s']:9.2f}s "
+                f"{row['warm_spawns']:5d} vs {row['per_query_spawns']:4d} "
                 f"{row['queries']:8d}"
             )
-        session_total = sum(r["session_s"] for r in _SESSION.values())
-        perproc_total = sum(r["perproc_s"] for r in _SESSION.values())
+        warm_total = sum(r["warm_s"] for r in _SESSION.values())
+        per_query_total = sum(r["per_query_s"] for r in _SESSION.values())
         lines.append(
-            f"total: session {session_total:.2f}s "
-            f"({sum(r['session_spawns'] for r in _SESSION.values())} spawns), "
-            f"per-process {perproc_total:.2f}s "
-            f"({sum(r['perproc_spawns'] for r in _SESSION.values())} spawns)"
+            f"total: warm {warm_total:.2f}s "
+            f"({sum(r['warm_spawns'] for r in _SESSION.values())} spawns), "
+            f"per query {per_query_total:.2f}s "
+            f"({sum(r['per_query_spawns'] for r in _SESSION.values())} spawns)"
         )
     emit(
         "E9_backend_race",

@@ -103,15 +103,13 @@ class VerifyOptions:
     #: external solver argv (tuple, or a shell-ish string which is split);
     #: ``None`` auto-discovers ``z3``/``cvc5``/the z3py shim
     solver_cmd: Optional[Union[str, Tuple[str, ...]]] = None
-    #: hard wall-clock limit per solver invocation (kill-on-timeout)
+    #: hard wall-clock limit per solver query (kill-on-timeout)
     solver_timeout_s: float = 30.0
-    #: keep one warm, incremental solver session per backend/worker (the
-    #: shared prelude asserted once, each case in a push/pop scope) instead
-    #: of spawning a solver subprocess per obligation case; verdicts and
-    #: reports are identical either way (docs/BACKENDS.md)
-    solver_session: bool = False
-    #: recycle a session's solver process after this many queries (0 = never)
-    max_session_queries: int = 0
+    #: queries one solver process serves before it is recycled: 1 (a fresh
+    #: process per obligation case), N > 1, or 0 (never); above 1 or at 0
+    #: each case runs in a push/pop scope over a prelude asserted once.
+    #: Verdicts and reports are identical either way (docs/BACKENDS.md)
+    max_session_queries: int = 1
     #: obligation-level process-pool width (1 = serial)
     jobs: int = 1
     #: persistent proof-cache directory (the sharded CAS) — the L1 tier
@@ -155,7 +153,6 @@ class VerifyOptions:
             name=self.backend,
             solver_cmd=self.solver_cmd,
             solver_timeout_s=self.solver_timeout_s,
-            session=self.solver_session,
             max_session_queries=self.max_session_queries,
         )
 

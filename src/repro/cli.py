@@ -36,12 +36,14 @@ content-addressed store so unchanged optimizations re-verify in
 milliseconds, and ``--cache-url URL`` additionally consults (and feeds) the
 proof cache of a ``repro-cobalt --cache-dir DIR serve`` daemon —
 strictly fail-open, see docs/CACHING.md.  ``--backend internal|smtlib|portfolio`` selects the
-prover backend — the in-process prover, SMT-LIB2 emission through an
-external solver subprocess (``--solver-cmd`` overrides auto-discovery of
-z3/cvc5), or a per-obligation race of the two (docs/BACKENDS.md).  The
-deprecated ``--prover`` alias and the ``--prover-mode``, ``--kernel`` and
-``--engine`` switches were removed — see the migration table in
-docs/SERVICE.md.  ``--json`` on ``suite``,
+prover backend — the in-process prover, SMT-LIB2 sent to an external
+solver process over stdin (``--solver-cmd`` overrides auto-discovery of
+z3/cvc5), or a per-obligation race of the two (docs/BACKENDS.md).
+``--max-session-queries N`` is how many obligation cases one solver
+process serves (default 1, a fresh process per case; 0 = never
+recycle).  The deprecated ``--prover`` alias and the ``--prover-mode``,
+``--kernel``, ``--engine`` and ``--solver-session`` switches were removed
+— see the migration tables in docs/SERVICE.md and docs/BACKENDS.md.  ``--json`` on ``suite``,
 ``verify``, ``fuzz``, and ``cache stats`` emits the daemon's versioned
 wire schema on stdout instead of the human table.  ``--prover-stats``
 prints the prover's observability counters to stderr (see docs/PROVER.md),
@@ -122,7 +124,6 @@ def build_verify_options(args):
         backend=args.backend,
         solver_cmd=args.solver_cmd,
         solver_timeout_s=args.solver_timeout,
-        solver_session=args.solver_session,
         max_session_queries=args.max_session_queries,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
@@ -523,18 +524,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--solver-timeout", type=float, default=30.0,
                         metavar="S",
                         help="hard wall-clock limit per external solver "
-                             "invocation; overrunning solvers are killed "
+                             "query; overrunning solvers are killed "
                              "(default: 30s)")
-    parser.add_argument("--solver-session", action="store_true",
-                        help="keep one warm incremental solver session per "
-                             "backend/worker (prelude asserted once, each "
-                             "case in a push/pop scope) instead of one "
-                             "solver subprocess per obligation case; "
-                             "verdicts and reports are identical either way")
-    parser.add_argument("--max-session-queries", type=int, default=0,
+    parser.add_argument("--max-session-queries", type=int, default=1,
                         metavar="N",
-                        help="recycle a solver session's process after N "
-                             "queries (default: 0, never)")
+                        help="queries one solver process serves before it "
+                             "is recycled (default: 1, a fresh process per "
+                             "obligation case; 0 = never recycle); above 1 "
+                             "or at 0 the prelude is asserted once and each "
+                             "case runs in a push/pop scope — verdicts and "
+                             "reports are identical either way")
     parser.add_argument("--prover-stats", action="store_true",
                         help="print prover observability counters (match "
                              "time, instance/dedup rates, clause wakeups, "

@@ -1,7 +1,7 @@
 """Pluggable prover backends (docs/BACKENDS.md).
 
 ``internal`` — the in-process incremental prover (default).
-``smtlib`` — SMT-LIB2 emission driven through a ``z3``/``cvc5`` subprocess.
+``smtlib`` — SMT-LIB2 emission sent to a ``z3``/``cvc5`` process over stdin.
 ``portfolio`` — race both per obligation; first proof wins, loser cancelled.
 """
 
@@ -17,10 +17,8 @@ from repro.prover.backends.base import (
 from repro.prover.backends.internal import InternalBackend
 from repro.prover.backends.portfolio import PortfolioBackend
 from repro.prover.backends.smtlib import (
-    SessionBroken,
     SmtLibBackend,
     SolverOutcome,
-    SolverRunner,
     SolverSession,
     parse_solver_output,
     session_argv,
@@ -33,10 +31,8 @@ __all__ = [
     "InternalBackend",
     "PortfolioBackend",
     "ProverBackend",
-    "SessionBroken",
     "SmtLibBackend",
     "SolverOutcome",
-    "SolverRunner",
     "SolverSession",
     "build_internal_prover",
     "discover_solver",

@@ -12,8 +12,8 @@ Three implementations ship:
   incremental prover (the default, and the only one with no external
   dependency);
 * ``smtlib`` (:mod:`repro.prover.backends.smtlib`) — emits SMT-LIB2
-  scripts (:mod:`repro.verify.smtlib`) and drives a ``z3``/``cvc5``
-  subprocess with hard wall-clock timeouts and bounded retries;
+  (:mod:`repro.verify.smtlib`) to a ``z3``/``cvc5`` process over stdin,
+  with hard wall-clock timeouts and bounded retries;
 * ``portfolio`` (:mod:`repro.prover.backends.portfolio`) — races the two
   per obligation; the first conclusive verdict wins and the loser is
   cancelled.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 import shutil
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.prover.core import Prover, ProverConfig
@@ -78,29 +78,19 @@ class BackendSpec:
     """A picklable description of a backend, resolvable in any process."""
 
     name: str = "internal"
-    #: External solver argv prefix; the script path is appended.  ``None``
-    #: means auto-discover (:func:`discover_solver`).
+    #: External solver command: reads SMT-LIB2 on stdin and answers
+    #: ``(check-sat)`` and ``(echo …)``.  ``None`` means auto-discover
+    #: (:func:`discover_solver`).
     solver_cmd: Optional[Tuple[str, ...]] = None
-    #: Hard wall-clock limit per solver invocation; the process is killed
+    #: Hard wall-clock limit per solver query; the process is killed
     #: (never merely abandoned) when it fires.
     solver_timeout_s: float = 30.0
-    #: Transient-failure retries per invocation (spawn errors, empty or
-    #: malformed output with a failing exit) and the backoff base: attempt
-    #: ``i`` sleeps ``retry_backoff_s * 2**i`` before retrying.
-    solver_retries: int = 2
-    retry_backoff_s: float = 0.25
-    #: Ask the solver for a model on ``sat`` (reported as the obligation's
-    #: counterexample context).
-    want_model: bool = True
-    #: Drive one persistent incremental solver session per backend instead
-    #: of spawning a subprocess per obligation case: the shared prelude is
-    #: asserted once, each case runs inside ``(push 1)``/``(pop 1)``.
-    #: Session reuse never changes verdicts or cache keys — any session
-    #: anomaly degrades that query to the spawn-per-script path.
-    session: bool = False
-    #: Recycle the session process after this many queries (0 = never);
-    #: bounds memory growth of long-lived solver processes.
-    max_session_queries: int = 0
+    #: Queries one solver process serves before it is recycled: ``1`` gives
+    #: every obligation case a fresh process (no ``push``/``pop``); any
+    #: other value keeps the prelude asserted and runs each case inside
+    #: ``(push 1)``/``(pop 1)``, ``0`` never recycling.  Verdicts and cache
+    #: keys are the same either way.
+    max_session_queries: int = 1
 
     def __post_init__(self) -> None:
         if self.name not in BACKEND_NAMES:

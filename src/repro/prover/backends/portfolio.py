@@ -1,6 +1,6 @@
 """The portfolio backend: race the internal prover against an SMT solver.
 
-Per obligation, the external solver runs in its own subprocess (watched by
+Per obligation, the external solver runs in its own process (driven from
 a helper thread) while the internal prover searches in-process; the first
 *conclusive* verdict wins and the loser is cancelled — the subprocess is
 killed, the internal search is stopped through the prover's cooperative
@@ -110,20 +110,8 @@ class PortfolioBackend:
         # is *per case*: a kind-split obligation runs one solver query per
         # statement kind, so waiting only one ``solver_timeout_s`` would
         # under-wait multi-case obligations and discard near-finished
-        # external work.  The session path additionally gets one extra
-        # per-case unit of headroom for respawn-and-replay recovery.
-        from repro.verify import encode as E
-
-        spec = getattr(self.external, "spec", None)
-        per_case = getattr(spec, "solver_timeout_s", 30.0)
-        ncases = (
-            len(E.STMT_KINDS)
-            if getattr(obligation, "split_term", None) is not None
-            else 1
-        )
-        budget = per_case * ncases
-        if getattr(spec, "session", False):
-            budget += per_case
+        # external work.
+        budget = self.external.spec.solver_timeout_s * len(obligation.cases())
         remaining = max(0.0, budget - (time.monotonic() - start)) + 1.0
         external_done.wait(timeout=remaining)
         stop_external.set()

@@ -2,34 +2,32 @@
 
 This is the reproduction of the paper's actual architecture — Cobalt
 shipped every obligation to the external Simplify prover (section 5).  We
-ship modern SMT-LIB2 instead: each obligation's statement-kind cases are
-emitted as ``(set-logic UF)`` scripts (:mod:`repro.verify.smtlib`) and fed
-to a solver subprocess (``z3``, ``cvc5``, or anything that reads a script
-path and prints ``sat``/``unsat``/``unknown``).
+ship modern SMT-LIB2 instead.  The whole contract for an external solver
+is one sentence: a command that reads SMT-LIB2 on stdin and answers
+``(check-sat)`` and ``(echo …)``.  ``z3 -in``, ``cvc5`` and the bundled
+z3shim all do.
 
-Two process disciplines ship (docs/BACKENDS.md):
+One driver, :class:`SolverSession`, runs every query.  A fresh solver
+process is sent the prelude (:func:`repro.verify.smtlib.emit_prelude`);
+each obligation case is then a goal tail plus ``(check-sat)``, and an
+``(echo "marker")`` fence ends every answer.  ``max_session_queries``
+says how many queries one process serves: ``1`` (the default) gives each
+case a fresh process and sends no ``push``/``pop``; any other value runs
+each case inside ``(push 1)``/``(pop 1)`` and recycles the process after
+that many queries (``0``: never).
 
-* **spawn-per-script** (:class:`SolverRunner`, the default) — one solver
-  subprocess per obligation case, the whole script re-asserted each time;
-* **persistent sessions** (:class:`SolverSession`, ``spec.session``) — one
-  warm ``z3 -in``/``cvc5 --incremental`` process per backend, the fixed IL
-  axiomatization asserted once, each case discharged inside
-  ``(push 1)``/``(pop 1)``; crashes and wedges respawn-and-replay, with
-  the spawn-per-script runner as the recovery path, so verdicts (and
-  canonical reports, and proof-cache keys) are identical either way.
+Recovery, one policy for every process (docs/BACKENDS.md):
 
-Process discipline, in order of paranoia:
-
-* every invocation gets a **hard wall-clock deadline**; an overrunning
-  solver is killed (``SIGKILL`` after ``terminate``), never abandoned;
-* **transient failures** — spawn errors, a crash mid-stream (partial
-  output, failing exit), empty output — are retried with exponential
-  backoff, a bounded number of times;
-* **malformed output** from a cleanly-exiting solver (no verdict token) is
-  *not* retried: the solver is deterministic, so asking again would yield
-  the same garbage; it is reported as an error outcome;
-* outcomes are parsed structurally: the first ``sat``/``unsat``/``unknown``
-  token line is the verdict, subsequent lines are the model (on ``sat``).
+* a missing solver binary is an error at once;
+* a spawn failure, or a crash, EOF or broken pipe before the fence,
+  respawns the process, replays the prelude and retries the query, up to
+  :data:`SOLVER_RETRIES` times with exponential backoff, consulting the
+  cancellation hook before each backoff;
+* an answer with no verdict token, whether fenced or at a clean exit, is
+  ``malformed solver output`` and is not retried: a deterministic solver
+  would repeat it;
+* no fence within the per-query deadline kills the process and reports
+  ``timeout``.
 
 Verdict mapping follows the internal prover's semantics (docs/PROVER.md):
 ``unsat`` on the negated goal means **proved**; ``sat`` means *not proved*,
@@ -43,11 +41,9 @@ from __future__ import annotations
 import os
 import queue
 import subprocess
-import sys
-import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.prover.core import ProverConfig
@@ -62,21 +58,21 @@ _MAX_MODEL_LINES = 40
 #: the hard deadline responsive without busy-waiting).
 _POLL_S = 0.01
 
+#: Retries of a query whose process failed before answering, and the
+#: backoff base: retry ``i`` (from 0) first sleeps ``RETRY_BACKOFF_S * 2**i``.
+SOLVER_RETRIES = 2
+RETRY_BACKOFF_S = 0.25
+
 
 @dataclass
 class SolverOutcome:
-    """One solver invocation's structured result."""
+    """One solver query's structured result."""
 
     status: str  # "unsat" | "sat" | "unknown" | "timeout" | "cancelled" | "error"
     detail: str = ""
     model: Tuple[str, ...] = ()
     elapsed_s: float = 0.0
     attempts: int = 1
-
-    @property
-    def conclusive(self) -> bool:
-        """True when the solver actually decided the query."""
-        return self.status in ("unsat", "sat")
 
 
 def parse_solver_output(text: str) -> Tuple[Optional[str], Tuple[str, ...]]:
@@ -139,195 +135,31 @@ def solver_version(cmd: Sequence[str], *, timeout_s: float = 5.0) -> str:
 _VERSION_CACHE: dict = {}
 
 
-class SolverRunner:
-    """Run one solver command over script files, safely."""
-
-    def __init__(
-        self,
-        cmd: Sequence[str],
-        *,
-        timeout_s: float = 30.0,
-        retries: int = 2,
-        backoff_s: float = 0.25,
-    ) -> None:
-        self.cmd = tuple(cmd)
-        self.timeout_s = timeout_s
-        self.retries = max(0, int(retries))
-        self.backoff_s = backoff_s
-        #: solver processes spawned over this runner's lifetime (E9 rows)
-        self.spawns = 0
-
-    # -- one attempt -------------------------------------------------------
-
-    def _run_once(
-        self, script_path: str, cancel: Optional[object]
-    ) -> Tuple[str, str, Optional[int]]:
-        """One solver process: (stdout, why, returncode).
-
-        ``why`` is "" on a normal exit, else "timeout"/"cancelled"."""
-        proc = subprocess.Popen(
-            list(self.cmd) + [script_path],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        self.spawns += 1
-        deadline = time.monotonic() + self.timeout_s
-        why = ""
-        while True:
-            if proc.poll() is not None:
-                break
-            if cancel is not None and cancel():
-                why = "cancelled"
-                break
-            if time.monotonic() > deadline:
-                why = "timeout"
-                break
-            time.sleep(_POLL_S)
-        if why:
-            proc.terminate()
-            try:
-                proc.wait(timeout=0.5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-        try:
-            stdout, _ = proc.communicate(timeout=5.0)
-        except subprocess.TimeoutExpired:  # pragma: no cover - kill raced
-            proc.kill()
-            stdout, _ = proc.communicate()
-        return stdout or "", why, proc.returncode
-
-    # -- retry loop --------------------------------------------------------
-
-    def check(
-        self,
-        script_text: str,
-        *,
-        name: str = "goal",
-        cancel: Optional[object] = None,
-    ) -> SolverOutcome:
-        """Solve one script; never raises.
-
-        Retries (with exponential backoff) spawn failures and crashes
-        mid-stream; does not retry timeouts, cancellations, missing
-        binaries, or deterministic garbage from a cleanly-exiting solver."""
-        start = time.monotonic()
-        fd, path = tempfile.mkstemp(prefix="repro-ob-", suffix=".smt2")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(script_text)
-            last_detail = ""
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    stdout, why, returncode = self._run_once(path, cancel)
-                except FileNotFoundError as exc:
-                    return SolverOutcome(
-                        "error",
-                        f"solver binary not found: {exc}",
-                        elapsed_s=time.monotonic() - start,
-                        attempts=attempts,
-                    )
-                except OSError as exc:
-                    last_detail = f"spawn failed: {exc}"
-                    stdout, why, returncode = "", "", None
-                if why in ("timeout", "cancelled"):
-                    return SolverOutcome(
-                        why,
-                        f"killed after {self.timeout_s:.1f}s"
-                        if why == "timeout"
-                        else "race already decided",
-                        elapsed_s=time.monotonic() - start,
-                        attempts=attempts,
-                    )
-                verdict, model = parse_solver_output(stdout)
-                if verdict is not None:
-                    return SolverOutcome(
-                        verdict,
-                        # model text is meaningful only alongside ``sat``;
-                        # trailing output after any other verdict is noise.
-                        model=model if verdict == "sat" else (),
-                        elapsed_s=time.monotonic() - start,
-                        attempts=attempts,
-                    )
-                if returncode == 0 and stdout.strip():
-                    # Clean exit, no verdict token: deterministic garbage.
-                    head = stdout.strip().splitlines()[0][:120]
-                    return SolverOutcome(
-                        "error",
-                        f"malformed solver output: {head!r}",
-                        elapsed_s=time.monotonic() - start,
-                        attempts=attempts,
-                    )
-                if returncode is not None:
-                    last_detail = (
-                        f"solver exited with code {returncode} and no verdict"
-                    )
-                if attempts > self.retries:
-                    return SolverOutcome(
-                        "error",
-                        f"{last_detail or 'no solver output'} "
-                        f"(after {attempts} attempt(s))",
-                        elapsed_s=time.monotonic() - start,
-                        attempts=attempts,
-                    )
-                # A decided race must not idle in backoff against a crashing
-                # solver: consult the cancellation hook before every retry.
-                if cancel is not None and cancel():
-                    return SolverOutcome(
-                        "cancelled",
-                        "race already decided (during retry backoff)",
-                        elapsed_s=time.monotonic() - start,
-                        attempts=attempts,
-                    )
-                if self.backoff_s > 0:
-                    time.sleep(self.backoff_s * (2 ** (attempts - 1)))
-        finally:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-
 # ---------------------------------------------------------------------------
-# Persistent incremental sessions
+# The solver driver
 # ---------------------------------------------------------------------------
 
 
-def session_argv(cmd: Sequence[str]) -> Tuple[str, ...]:
-    """The argv that runs ``cmd``'s solver as an incremental stdin session.
+def session_argv(cmd: Sequence[str], *, incremental: bool = True) -> Tuple[str, ...]:
+    """The argv that runs ``cmd``'s solver on SMT-LIB2 from stdin.
 
-    Known solvers get their incremental flag appended (``z3 -in``,
-    ``cvc5 --incremental``, the bundled z3shim's ``--session``); anything
-    else — scripted fake solvers in the tests, custom wrappers — is assumed
-    to read SMT-LIB2 from stdin already."""
+    ``z3`` needs ``-in`` to read stdin; ``cvc5``/``cvc4`` read it already
+    and get ``--incremental`` only for a process that serves several
+    queries.  Anything else — the bundled z3shim, scripted fake solvers in
+    the tests, custom wrappers — is run as given."""
     cmd = tuple(cmd)
     base = os.path.basename(cmd[0])
     if base.startswith("z3"):
         return cmd + ("-in",)
-    if base.startswith("cvc"):
+    if base.startswith("cvc") and incremental:
         return cmd + ("--incremental",)
-    if any("z3shim" in part for part in cmd):
-        return cmd + ("--session",)
     return cmd
 
 
 class SessionBroken(Exception):
-    """The session cannot (or should not) answer this query in-process.
-
-    ``kind`` drives recovery (docs/BACKENDS.md, recovery state machine):
-
-    * ``"crash"`` — the solver process died or the pipe broke: respawn,
-      replay the prelude, retry the query once; then fall back to the
-      spawn-per-script :class:`SolverRunner`;
-    * ``"protocol"`` — the solver answered but not with a verdict token:
-      same recovery as a crash (the fallback runner is what decides
-      whether the garbage is deterministic);
-    * ``"wedge"`` — no answer within the per-query deadline: the process
-      is killed and the query reports ``timeout``, exactly as the
-      spawn-per-script path would.
-    """
+    """One attempt at a query failed; ``kind`` picks the recovery:
+    ``"crash"`` is retried on a fresh process, ``"malformed"`` and
+    ``"wedge"`` end the query."""
 
     def __init__(self, kind: str, detail: str = "") -> None:
         super().__init__(detail or kind)
@@ -343,19 +175,19 @@ class _SessionCancelled(Exception):
 _EOF = object()
 
 
+def _head(lines: Sequence[str]) -> str:
+    return next((l for l in lines if l.strip()), "").strip()[:120]
+
+
 class SolverSession:
-    """One warm solver process driven incrementally over stdin/stdout.
+    """One solver process at a time, driven over stdin/stdout.
 
-    The shared prelude is asserted exactly once per process; each query
-    then runs inside ``(push 1)``/``(pop 1)``, so only the per-goal delta
-    churns.  Responses are framed with ``(echo "marker")`` fences — every
-    command batch ends with a unique marker, and the reader collects lines
-    until the fence comes back (quotes stripped: cvc5 echoes the literal,
-    z3 the bare string).
-
-    The session never raises past :class:`SessionBroken` /
-    :class:`_SessionCancelled`; the owning backend decides between
-    respawn-and-replay and the spawn-per-script fallback."""
+    A fresh process is sent the prelude; each query is a goal tail plus
+    ``(check-sat)``, and every command batch ends with a unique ``(echo
+    "marker")`` fence — the reader collects lines until the marker comes
+    back (quotes stripped: cvc5 echoes the literal, z3 the bare string).
+    ``max_queries`` is how many queries one process serves (see the module
+    docstring).  :meth:`check` never raises."""
 
     def __init__(
         self,
@@ -363,22 +195,20 @@ class SolverSession:
         prelude_text: str,
         *,
         timeout_s: float = 30.0,
-        max_queries: int = 0,
-        want_model: bool = True,
+        max_queries: int = 1,
     ) -> None:
         self.cmd = tuple(cmd)
         self.prelude_text = prelude_text
         self.timeout_s = timeout_s
         self.max_queries = max(0, int(max_queries))
-        self.want_model = want_model
-        #: process spawns (initial + recycles + respawns) and queries served
+        #: processes started and queries sent over this session's lifetime
         self.spawns = 0
         self.queries = 0
-        #: queries served by the *current* process (recycling trigger)
+        #: queries sent to the *current* process (recycling trigger)
         self._proc_queries = 0
         self._proc: Optional[subprocess.Popen] = None
         self._out: "queue.Queue" = queue.Queue()
-        self._reader: Optional[threading.Thread] = None
+        self._inbox: "queue.Queue" = queue.Queue()
         self._marker_seq = 0
 
     # -- lifecycle ---------------------------------------------------------
@@ -388,10 +218,13 @@ class SolverSession:
         return self._proc is not None and self._proc.poll() is None
 
     def start(self) -> None:
-        """Spawn the solver and replay the prelude; fences on completion."""
+        """Start a fresh process and send it the prelude.
+
+        A missing binary raises ``FileNotFoundError``; any other spawn
+        failure is a ``"crash"``."""
         self.close()
         try:
-            self._proc = subprocess.Popen(
+            proc = subprocess.Popen(
                 list(self.cmd),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
@@ -399,175 +232,210 @@ class SolverSession:
                 text=True,
                 bufsize=1,
             )
+        except FileNotFoundError:
+            raise
         except OSError as exc:
-            raise SessionBroken("crash", f"session spawn failed: {exc}")
+            raise SessionBroken("crash", f"spawn failed: {exc}")
+        self._proc = proc
         self.spawns += 1
         self._proc_queries = 0
         self._out = queue.Queue()
-        self._reader = threading.Thread(
-            target=self._pump, args=(self._proc, self._out),
-            name="repro-solver-session", daemon=True,
-        )
-        self._reader.start()
-        marker = self._next_marker("prelude")
-        self._send(self.prelude_text + f'(echo "{marker}")\n')
-        self._read_until(marker, time.monotonic() + self.timeout_s, None)
+        self._inbox = queue.Queue()
+        for target, pipe, name in (
+            (self._pump, self._out, "repro-solver-reader"),
+            (self._feed, self._inbox, "repro-solver-writer"),
+        ):
+            threading.Thread(
+                target=target, args=(proc, pipe), name=name, daemon=True
+            ).start()
+        self._inbox.put(self.prelude_text)
 
     @staticmethod
     def _pump(proc: subprocess.Popen, out: "queue.Queue") -> None:
         try:
             for line in proc.stdout:
                 out.put(line.rstrip("\n"))
-        except ValueError:  # pipe closed under the reader
+        except (OSError, ValueError):  # pipe closed under the reader
             pass
+        proc.stdout.close()
         out.put(_EOF)
 
+    @staticmethod
+    def _feed(proc: subprocess.Popen, inbox: "queue.Queue") -> None:
+        """Write queued commands to the solver; ``None`` closes its stdin.
+
+        Writing from a thread keeps a solver that stops reading from
+        blocking the caller, whose deadline then still fires."""
+        try:
+            for text in iter(inbox.get, None):
+                proc.stdin.write(text)
+                proc.stdin.flush()
+        except (OSError, ValueError):  # the process died; the reader says so
+            pass
+        try:
+            proc.stdin.close()
+        except (OSError, ValueError):  # unflushed text for a dead process
+            pass
+
     def close(self) -> None:
-        """Terminate the solver process.  Idempotent."""
+        """End the current process: ``(exit)``, then terminate, then kill.
+        Idempotent."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
+        self._inbox.put("(exit)\n")
+        self._inbox.put(None)
         try:
-            if proc.poll() is None:
-                try:
-                    proc.stdin.write("(exit)\n")
-                    proc.stdin.flush()
-                    proc.stdin.close()
-                except (OSError, ValueError):
-                    pass
-                # Let the solver drain its stdin and honor (exit) — a
-                # graceful quit keeps the final (pop 1) from being lost —
-                # before escalating to terminate/kill.
-                try:
-                    proc.wait(timeout=0.5)
-                except subprocess.TimeoutExpired:
-                    proc.terminate()
-                    try:
-                        proc.wait(timeout=0.5)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait(timeout=1.0)
-            for stream in (proc.stdin, proc.stdout):
-                if stream is not None:
-                    try:
-                        stream.close()
-                    except OSError:
-                        pass
-        except Exception:  # pragma: no cover - teardown must never raise
-            pass
+            # Let the solver drain its stdin and honor (exit) before
+            # escalating to terminate/kill.
+            proc.wait(timeout=0.5)
+        except subprocess.TimeoutExpired:
+            proc.terminate()
+            try:
+                proc.wait(timeout=0.5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=1.0)
 
-    # -- plumbing ----------------------------------------------------------
+    def _kill(self) -> None:
+        if self._proc is not None and self._proc.poll() is None:
+            self._proc.kill()
+        self.close()
+
+    # -- one attempt ---------------------------------------------------------
 
     def _next_marker(self, tag: str) -> str:
         self._marker_seq += 1
         return f"repro-{tag}-{self._marker_seq}"
 
-    def _send(self, text: str) -> None:
-        if self._proc is None or self._proc.stdin is None:
-            raise SessionBroken("crash", "session not running")
-        try:
-            self._proc.stdin.write(text)
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError, ValueError) as exc:
-            raise SessionBroken("crash", f"solver pipe broke: {exc}")
-
     def _read_until(
         self, marker: str, deadline: float, cancel: Optional[object]
-    ) -> List[str]:
-        """Collect output lines until the echo fence, deadline, or EOF."""
+    ) -> Tuple[List[str], bool]:
+        """Output lines up to the fence, and whether the fence came (False:
+        the solver closed its output first)."""
         lines: List[str] = []
         while True:
+            if cancel is not None and cancel():
+                self._kill()
+                raise _SessionCancelled()
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self._kill()
                 raise SessionBroken(
                     "wedge", f"no answer within {self.timeout_s:.1f}s"
                 )
-            if cancel is not None and cancel():
-                self._kill()
-                raise _SessionCancelled()
             try:
-                item = self._out.get(timeout=min(_POLL_S * 5, remaining))
+                item = self._out.get(timeout=min(_POLL_S, remaining))
             except queue.Empty:
                 continue
             if item is _EOF:
-                raise SessionBroken(
-                    "crash", "solver closed its output mid-session"
-                )
+                return lines, False
             if item.strip().strip('"') == marker:
-                return lines
+                return lines, True
             lines.append(item)
 
-    def _kill(self) -> None:
+    def _exited(self, answer: List[str]) -> Tuple[str, Tuple[str, ...]]:
+        """The verdict of a process that closed its output before the
+        fence: a verdict token is accepted as it stands, output without
+        one at a clean exit is malformed, anything else is a crash."""
         proc = self._proc
-        if proc is not None and proc.poll() is None:
-            proc.kill()
-            try:
-                proc.wait(timeout=1.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                pass
+        try:
+            code = proc.wait(timeout=1.0) if proc is not None else None
+        except subprocess.TimeoutExpired:
+            code = None
+        self._kill()
+        verdict, model = parse_solver_output("\n".join(answer))
+        if verdict is not None:
+            return verdict, model
+        if code == 0 and _head(answer):
+            raise SessionBroken("malformed", _head(answer))
+        raise SessionBroken(
+            "crash", f"solver exited with code {code} and no verdict"
+        )
 
-    # -- queries -----------------------------------------------------------
-
-    def check(
-        self,
-        tail_lines: Sequence[str],
-        *,
-        name: str = "goal",
-        cancel: Optional[object] = None,
-    ) -> SolverOutcome:
-        """Discharge one goal tail inside a fresh push scope."""
-        start = time.monotonic()
+    def _query(
+        self, tail_lines: Sequence[str], cancel: Optional[object]
+    ) -> Tuple[str, Tuple[str, ...]]:
+        deadline = time.monotonic() + self.timeout_s
         if not self.alive:
-            raise SessionBroken("crash", "solver process not running")
-        if self.max_queries and self._proc_queries >= self.max_queries:
-            # Recycle: long-lived solver sessions accumulate learned state
-            # and memory; restart after the configured number of queries.
             self.start()
         self.queries += 1
         self._proc_queries += 1
-        deadline = time.monotonic() + self.timeout_s
         marker = self._next_marker("q")
-        payload = "(push 1)\n" + "\n".join(tail_lines) + "\n"
-        payload += f'(check-sat)\n(echo "{marker}")\n'
-        self._send(payload)
-        answer = self._read_until(marker, deadline, cancel)
-        verdict = next(
-            (l.strip() for l in answer if l.strip() in _STATUS_TOKENS), None
-        )
+        body = "\n".join(tail_lines) + f'\n(check-sat)\n(echo "{marker}")\n'
+        self._inbox.put(body if self.max_queries == 1 else "(push 1)\n" + body)
+        answer, fenced = self._read_until(marker, deadline, cancel)
+        if not fenced:
+            return self._exited(answer)
+        verdict, _ = parse_solver_output("\n".join(answer))
         if verdict is None:
-            head = next((l for l in answer if l.strip()), "")[:120]
             self._kill()
-            raise SessionBroken(
-                "protocol", f"no verdict in session answer: {head!r}"
-            )
+            raise SessionBroken("malformed", _head(answer))
         model: Tuple[str, ...] = ()
-        if verdict == "sat" and self.want_model:
+        if verdict == "sat":
             mmarker = self._next_marker("m")
-            self._send(f'(get-model)\n(echo "{mmarker}")\n')
-            raw = self._read_until(mmarker, deadline, cancel)
+            self._inbox.put(f'(get-model)\n(echo "{mmarker}")\n')
+            raw, _ = self._read_until(mmarker, deadline, cancel)
             model = tuple(
                 l.rstrip()
                 for l in raw
                 if l.strip() and not l.strip().startswith("(error")
             )[:_MAX_MODEL_LINES]
-        self._send("(pop 1)\n")
-        return SolverOutcome(
-            verdict,
-            model=model,
-            elapsed_s=time.monotonic() - start,
-        )
+        if self.max_queries and self._proc_queries >= self.max_queries:
+            self.close()
+        else:
+            self._inbox.put("(pop 1)\n")
+        return verdict, model
+
+    # -- queries -----------------------------------------------------------
+
+    def check(
+        self, tail_lines: Sequence[str], *, cancel: Optional[object] = None
+    ) -> SolverOutcome:
+        """Discharge one goal tail under the recovery policy; never raises."""
+        start = time.monotonic()
+        attempts = 0
+
+        def outcome(status: str, detail: str = "", model=()) -> SolverOutcome:
+            return SolverOutcome(
+                status,
+                detail,
+                model=model,
+                elapsed_s=time.monotonic() - start,
+                attempts=attempts,
+            )
+
+        while True:
+            attempts += 1
+            try:
+                verdict, model = self._query(tail_lines, cancel)
+                return outcome(verdict, model=model)
+            except FileNotFoundError as exc:
+                return outcome("error", f"solver binary not found: {exc}")
+            except _SessionCancelled:
+                return outcome("cancelled", "race already decided")
+            except SessionBroken as broken:
+                if broken.kind == "wedge":
+                    return outcome("timeout", f"killed after {self.timeout_s:.1f}s")
+                if broken.kind == "malformed":
+                    return outcome(
+                        "error", f"malformed solver output: {broken.detail!r}"
+                    )
+                detail = broken.detail
+            if attempts > SOLVER_RETRIES:
+                return outcome("error", f"{detail} (after {attempts} attempt(s))")
+            # A decided race must not idle in backoff against a crashing
+            # solver: consult the cancellation hook before every retry.
+            if cancel is not None and cancel():
+                return outcome(
+                    "cancelled", "race already decided (during retry backoff)"
+                )
+            time.sleep(RETRY_BACKOFF_S * 2 ** (attempts - 1))
 
 
 class SmtLibBackend:
-    """Discharge obligations through an external SMT solver.
-
-    With ``spec.session`` the backend keeps one warm
-    :class:`SolverSession` and discharges every case incrementally; any
-    session anomaly degrades that one query to the spawn-per-script
-    :class:`SolverRunner` (after one respawn-and-replay attempt), so the
-    verdict mapping — and therefore every canonical report and cache key —
-    is identical to spawn-per-obligation mode."""
+    """Discharge obligations through an external SMT solver, driven by one
+    :class:`SolverSession` per backend (pool workers each own theirs)."""
 
     name = "smtlib"
 
@@ -577,117 +445,25 @@ class SmtLibBackend:
         assert isinstance(spec, BackendSpec) and spec.solver_cmd
         self.spec = spec
         self.config = config
-        self.runner = SolverRunner(
-            spec.solver_cmd,
-            timeout_s=spec.solver_timeout_s,
-            retries=spec.solver_retries,
-            backoff_s=spec.retry_backoff_s,
-        )
         self._session: Optional[SolverSession] = None
         self._prelude = None
-        #: spawns/queries retired with closed sessions (counter continuity)
-        self._retired_spawns = 0
-        self._retired_queries = 0
-        #: queries that degraded to the spawn-per-script fallback
-        self.fallback_queries = 0
-
-    # -- session plumbing --------------------------------------------------
 
     @property
-    def session_spawns(self) -> int:
-        live = self._session.spawns if self._session is not None else 0
-        return self._retired_spawns + live
-
-    @property
-    def session_queries(self) -> int:
-        live = self._session.queries if self._session is not None else 0
-        return self._retired_queries + live
-
-    @property
-    def process_spawns(self) -> int:
-        """Every solver process this backend has started (E9 accounting)."""
-        return self.session_spawns + self.runner.spawns
-
-    def _session_prelude(self):
-        if self._prelude is None:
+    def session(self) -> SolverSession:
+        """The solver driver; the prelude is rendered on first use."""
+        if self._session is None:
             from repro.verify.encode import CONSTRUCTORS, all_axioms
             from repro.verify.smtlib import emit_prelude
 
-            self._prelude = emit_prelude(
-                all_axioms(),
-                sorted(CONSTRUCTORS),
-                produce_models=self.spec.want_model,
-            )
-        return self._prelude
-
-    def _ensure_session(self) -> SolverSession:
-        if self._session is None:
+            self._prelude = emit_prelude(all_axioms(), sorted(CONSTRUCTORS))
+            queries = self.spec.max_session_queries
             self._session = SolverSession(
-                session_argv(self.spec.solver_cmd),
-                self._session_prelude().text,
+                session_argv(self.spec.solver_cmd, incremental=queries != 1),
+                self._prelude.text,
                 timeout_s=self.spec.solver_timeout_s,
-                max_queries=self.spec.max_session_queries,
-                want_model=self.spec.want_model,
+                max_queries=queries,
             )
-        if not self._session.alive:
-            self._session.start()
         return self._session
-
-    def _close_session(self) -> None:
-        if self._session is not None:
-            self._retired_spawns += self._session.spawns
-            self._retired_queries += self._session.queries
-            self._session.close()
-            self._session = None
-
-    def _check_case(
-        self,
-        case_name: str,
-        goal,
-        seeds,
-        axioms,
-        constructors,
-        cancel: Optional[object],
-    ) -> SolverOutcome:
-        """One case's verdict, through the session when enabled."""
-        from repro.verify.smtlib import emit_goal_tail, emit_script
-
-        if self.spec.session:
-            tail = emit_goal_tail(
-                self._session_prelude(), case_name, goal, seeds=seeds
-            )
-            for _attempt in range(2):  # initial try + respawn-and-replay
-                try:
-                    session = self._ensure_session()
-                    return session.check(
-                        tail.lines, name=case_name, cancel=cancel
-                    )
-                except _SessionCancelled:
-                    self._close_session()
-                    return SolverOutcome("cancelled", "race already decided")
-                except SessionBroken as broken:
-                    self._close_session()
-                    if broken.kind == "wedge":
-                        # Same mapping as the spawn-per-script path: a
-                        # solver that exceeds its budget reports timeout.
-                        return SolverOutcome(
-                            "timeout",
-                            f"killed after {self.spec.solver_timeout_s:.1f}s"
-                            f" (session)",
-                        )
-            # Two broken sessions in a row: recover through the
-            # spawn-per-script path, which settles crash-vs-garbage with
-            # its own retry discipline.
-            self.fallback_queries += 1
-        script = emit_script(
-            case_name,
-            goal,
-            axioms=axioms,
-            seeds=seeds,
-            constructors=constructors,
-            produce_models=self.spec.want_model,
-        )
-        return self.runner.check(script.text, name=case_name, cancel=cancel)
 
     def identity(self) -> str:
         version = solver_version(self.spec.solver_cmd)
@@ -705,23 +481,22 @@ class SmtLibBackend:
         non-``unsat`` case ends the analysis, conclusively for ``sat``
         (countermodel) and inconclusively otherwise.  An obligation with
         *zero* cases is an error outcome, never a vacuous proof."""
-        from repro.verify.encode import CONSTRUCTORS, all_axioms
-        from repro.verify.smtlib import obligation_cases
+        from repro.verify.smtlib import emit_goal_tail
 
-        axioms = all_axioms()
-        constructors = sorted(CONSTRUCTORS)
-        cases = obligation_cases(obligation)
+        cases = obligation.cases()
         if not cases:
             return False, False, [
                 f"<obligation {obligation.name} produced no proof cases; "
                 f"refusing a vacuous proof>"
             ]
+        session = self.session
         for case_name, goal in cases:
             if cancel is not None and cancel():
                 return False, False, [f"<cancelled before case {case_name}>"]
-            outcome = self._check_case(
-                case_name, goal, obligation.seeds, axioms, constructors, cancel
+            tail = emit_goal_tail(
+                self._prelude, case_name, goal, seeds=obligation.seeds
             )
+            outcome = session.check(tail.lines, cancel=cancel)
             if outcome.status == "unsat":
                 continue
             if outcome.status == "sat":
@@ -753,4 +528,5 @@ class SmtLibBackend:
         )
 
     def close(self) -> None:
-        self._close_session()
+        if self._session is not None:
+            self._session.close()

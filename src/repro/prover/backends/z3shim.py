@@ -4,19 +4,15 @@
 ``z3`` executable on PATH.  This module makes that installation usable as
 an external solver command::
 
-    python -m repro.prover.backends.z3shim FILE.smt2      # spawn-per-script
-    python -m repro.prover.backends.z3shim --session      # incremental stdin
+    python -m repro.prover.backends.z3shim
 
-Script mode reads the script, solves it, and prints
-``sat``/``unsat``/``unknown`` (plus the model on ``sat``) — exactly the
-contract :class:`repro.prover.backends.smtlib.SolverRunner` expects.
-Session mode speaks the incremental subset
-:class:`repro.prover.backends.smtlib.SolverSession` drives — one command
-per line, ``(push 1)``/``(pop 1)`` scoping, ``(check-sat)`` answered with
-a verdict token, and ``(echo "…")`` fences replayed verbatim — which is
-what ``session_argv`` selects for the shim.  Backend discovery
-(:func:`repro.prover.backends.base.discover_solver`) falls back to this
-shim when no solver binary is found but ``import z3`` works.
+It meets the external-solver contract of
+:mod:`repro.prover.backends.smtlib`: it reads SMT-LIB2 on stdin, one
+command per line, answers ``(check-sat)`` with a verdict token and
+``(get-model)`` with the model, replays ``(echo "…")`` fences verbatim,
+and maps ``(push 1)``/``(pop 1)`` onto the solver's own scopes.  Backend
+discovery (:func:`repro.prover.backends.base.discover_solver`) falls back
+to this shim when no solver binary is found but ``import z3`` works.
 """
 
 from __future__ import annotations
@@ -24,8 +20,8 @@ from __future__ import annotations
 import sys
 
 
-def _session_main() -> int:
-    """The incremental stdin/stdout loop.
+def _serve() -> int:
+    """The stdin/stdout command loop.
 
     Declarations and assertions are buffered per push scope and flushed
     into the z3 solver at each ``(check-sat)`` (z3py unifies symbols by
@@ -99,7 +95,7 @@ def _session_main() -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "--version":
+    if argv == ["--version"]:
         try:
             import z3
 
@@ -108,47 +104,11 @@ def main(argv=None) -> int:
         except Exception:
             print("z3shim (z3 bindings unavailable)")
             return 1
-    if argv and argv[0] == "--session":
-        return _session_main()
-    if len(argv) != 1:
-        print("usage: python -m repro.prover.backends.z3shim "
-              "[--session | FILE.smt2]",
+    if argv:
+        print("usage: python -m repro.prover.backends.z3shim [--version]",
               file=sys.stderr)
         return 2
-    try:
-        import z3
-    except Exception as exc:
-        print(f"z3shim: z3 bindings unavailable: {exc}", file=sys.stderr)
-        return 3
-    solver = z3.Solver()
-    try:
-        with open(argv[0]) as handle:
-            text = handle.read()
-        # The z3py parser wants declarations and assertions only; the
-        # script's driver commands are replayed here instead.
-        kept = [
-            line
-            for line in text.splitlines()
-            if not line.lstrip().startswith(
-                ("(set-option", "(check-sat", "(get-model", "(exit")
-            )
-        ]
-        solver.from_string("\n".join(kept))
-    except (OSError, z3.Z3Exception) as exc:
-        print(f"z3shim: parse error: {exc}", file=sys.stderr)
-        return 4
-    result = solver.check()
-    if result == z3.unsat:
-        print("unsat")
-    elif result == z3.sat:
-        print("sat")
-        try:
-            print(solver.model())
-        except z3.Z3Exception:
-            pass
-    else:
-        print("unknown")
-    return 0
+    return _serve()
 
 
 if __name__ == "__main__":

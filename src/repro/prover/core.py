@@ -259,10 +259,6 @@ class ProverStats:
         return "\n".join(lines)
 
 
-#: Backwards-compatible alias (``Result.stats`` was once a plain ``Stats``).
-Stats = ProverStats
-
-
 @dataclass
 class Result:
     """Outcome of a ``prove`` call."""

@@ -63,6 +63,8 @@ FORBIDDEN_OPTION_FIELDS = frozenset({
     "backend",
     "solver_cmd",
     "solver_timeout_s",
+    # the removed session switch: still refused, so a client that sends it
+    # learns it was not honoured
     "solver_session",
     "max_session_queries",
     "jobs",

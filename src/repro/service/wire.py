@@ -323,7 +323,6 @@ def verify_options_to_wire(options) -> Dict[str, Any]:
                 None if options.solver_cmd is None else list(options.solver_cmd)
             ),
             "solver_timeout_s": options.solver_timeout_s,
-            "solver_session": options.solver_session,
             "max_session_queries": options.max_session_queries,
             "jobs": options.jobs,
             "cache_dir": options.cache_dir,
@@ -348,6 +347,13 @@ def verify_options_from_wire(data: Any):
     obligation_timeout = data.get(
         "obligation_timeout_s", defaults.obligation_timeout_s
     )
+    max_session_queries = int(
+        data.get("max_session_queries", defaults.max_session_queries)
+    )
+    # Older documents may carry "solver_session" (the removed switch);
+    # false meant one solver process per query, whatever else they say.
+    if data.get("solver_session") is False:
+        max_session_queries = 1
     return VerifyOptions(
         backend=str(data.get("backend", defaults.backend)),
         solver_cmd=(
@@ -356,10 +362,7 @@ def verify_options_from_wire(data: Any):
         solver_timeout_s=float(
             data.get("solver_timeout_s", defaults.solver_timeout_s)
         ),
-        solver_session=bool(data.get("solver_session", defaults.solver_session)),
-        max_session_queries=int(
-            data.get("max_session_queries", defaults.max_session_queries)
-        ),
+        max_session_queries=max_session_queries,
         jobs=int(data.get("jobs", defaults.jobs)),
         cache_dir=(
             None if data.get("cache_dir", defaults.cache_dir) is None

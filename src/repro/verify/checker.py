@@ -177,24 +177,16 @@ def discharge_obligation(
     loop; the portfolio backend uses it to stop the internal search once
     the external solver has already proved the obligation.
     """
-    from repro.logic.formulas import Eq, Implies, clausify
-    from repro.verify import encode as E
+    # Imported at call time so a wrapper installed on
+    # ``repro.logic.formulas.clausify`` (perfbench/tracer.py) sees the call.
+    from repro.logic.formulas import clausify
 
     seed_clauses = []
     for i, seed in enumerate(obligation.seeds):
         seed_clauses.extend(
             clausify(seed, origin="case-split-seed", prefix=f"sk_seed{i}_")
         )
-    if obligation.split_term is not None:
-        cases = [
-            (
-                f"{obligation.name}[{kind.fn}]",
-                Implies(Eq(E.stmt_kind(obligation.split_term), kind), obligation.goal),
-            )
-            for kind in E.STMT_KINDS
-        ]
-    else:
-        cases = [(obligation.name, obligation.goal)]
+    cases = obligation.cases()
     start = time.monotonic()
     if not cases:
         # Mirrors SmtLibBackend.run_cases: an obligation with zero proof

@@ -99,6 +99,22 @@ class Obligation:
     #: each call small.
     split_term: Optional[Term] = None
 
+    def cases(self) -> List[Tuple[str, Formula]]:
+        """The statement-kind case analysis, one named goal per case.
+
+        Every backend proves exactly these goals: the internal prover in
+        :func:`repro.verify.checker.discharge_obligation`, an external
+        solver in :mod:`repro.prover.backends.smtlib`."""
+        if self.split_term is None:
+            return [(self.name, self.goal)]
+        return [
+            (
+                f"{self.name}[{kind.fn}]",
+                Implies(Eq(E.stmt_kind(self.split_term), kind), self.goal),
+            )
+            for kind in E.STMT_KINDS
+        ]
+
 
 def step_premises(eta: Term, eta2: Term, pi: Term) -> List[Formula]:
     """``eta ~>pi eta2`` in functional form: the step succeeds and eta2's

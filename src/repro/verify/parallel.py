@@ -30,14 +30,15 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 from typing import List, Optional, Sequence, Tuple
 
 from repro.prover import Prover, ProverConfig
+from repro.prover.backends.base import build_internal_prover
 
 #: Worker-process backend, built once per worker by the pool initializer and
 #: reused for every obligation the worker discharges.  Workers *own* their
-#: backend — including external solver subprocesses and persistent solver
-#: sessions for the ``smtlib`` and ``portfolio`` backends — so
-#: obligation-level parallelism composes with external solving without
-#: sharing process handles across the pool.  Each worker closes its backend
-#: (killing any warm solver session) on pool teardown via ``atexit``.
+#: backend — including the solver process of the ``smtlib`` and
+#: ``portfolio`` backends — so obligation-level parallelism composes with
+#: external solving without sharing process handles across the pool.  Each
+#: worker closes its backend (killing any live solver process) on pool
+#: teardown via ``atexit``.
 _WORKER_BACKEND = None
 _WORKER_KEY: Optional[Tuple[str, object]] = None
 _WORKER_CLEANUP_REGISTERED = False
@@ -67,13 +68,6 @@ def _config_fp(config: ProverConfig) -> str:
     from repro.verify.cache import config_fingerprint
 
     return config_fingerprint(config)
-
-
-def build_prover(config: ProverConfig) -> Prover:
-    """A fresh prover over the full background axiom set."""
-    from repro.verify.encode import CONSTRUCTORS, all_axioms
-
-    return Prover(all_axioms(), constructors=CONSTRUCTORS, config=config)
 
 
 def _worker_close() -> None:
@@ -216,7 +210,7 @@ def discharge_parallel(
     def serial(index: int, obligation) -> ObligationResult:
         if fallback_backend is not None:
             return fallback_backend.discharge(owner, obligation)
-        prover = fallback_prover or build_prover(config)
+        prover = fallback_prover or build_internal_prover(config)
         return discharge_obligation(prover, owner, obligation, config)
 
     # A task set that cannot be pickled cannot cross a process boundary at

@@ -5,8 +5,9 @@ prover.  This module is the emission half of that architecture for modern
 solvers: it translates the checker's obligation encoding — uninterpreted
 functions over one value sort, the fixed IL axiomatization of
 :mod:`repro.verify.encode`, the generated label axioms (already inlined in
-the obligation goals), and the ground case-split seeds — into a
-self-contained ``(set-logic UF)`` script that ``z3``/``cvc5`` can decide.
+the obligation goals), and the ground case-split seeds — into
+``(set-logic UF)`` input that ``z3``/``cvc5`` can decide: one prelude of
+declarations and axioms, plus one goal tail per obligation case.
 
 The mapping (see docs/BACKENDS.md for the full table):
 
@@ -37,12 +38,12 @@ branch (docs/PROVER.md).
 
 Formulas are hash-consed (:mod:`repro.logic.intern`), so compilation is
 memoized per node: the ~600-formula background prelude is rendered once
-per process and reused by every script.
+per process and reused by every query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.formulas import (
@@ -277,22 +278,6 @@ def compile_formula(f: Formula) -> _Compiled:
     return _memo_put(f, out)
 
 
-# ---------------------------------------------------------------------------
-# Script assembly
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SmtScript:
-    """One emitted ``(set-logic UF)`` script plus its provenance."""
-
-    name: str
-    text: str
-    #: number of asserted background axioms (prelude bookkeeping for tests)
-    axiom_count: int = 0
-    declared: Tuple[str, ...] = ()
-
-
 def _constructor_axioms(
     constructors: Sequence[str], arities: Dict[str, int], ints: Sequence[int]
 ) -> List[str]:
@@ -351,139 +336,25 @@ def _constructor_axioms(
     return lines
 
 
-def emit_script(
-    name: str,
-    goal: Formula,
-    *,
-    axioms: Sequence[Formula] = (),
-    seeds: Sequence[Formula] = (),
-    constructors: Sequence[str] = (),
-    logic: str = "UF",
-    produce_models: bool = True,
-    comment: str = "",
-) -> SmtScript:
-    """Assemble one complete script proving ``goal`` from ``axioms``.
-
-    The goal is negated and asserted alongside the axioms and the ground
-    case-split seeds; ``unsat`` from the solver means *proved*."""
-    compiled_axioms: List[Tuple[str, _Compiled]] = []
-    sigs: Set[Sig] = set()
-    ints: Set[int] = set()
-    arith: Set[Tuple[str, int]] = set()
-    for ax in axioms:
-        origin = ""
-        if isinstance(ax, tuple):
-            origin, ax = ax
-        c = compile_formula(ax)
-        compiled_axioms.append((origin, c))
-        sigs |= c.sigs
-        ints |= c.ints
-        arith |= c.arith
-    compiled_seeds = [compile_formula(seed) for seed in seeds]
-    for c in compiled_seeds:
-        sigs |= c.sigs
-        ints |= c.ints
-        arith |= c.arith
-    goal_c = compile_formula(goal)
-    sigs |= goal_c.sigs
-    ints |= goal_c.ints
-    arith |= goal_c.arith
-
-    # Resolve declarations.  A symbol used at several arities (or both as a
-    # predicate and a function) would be ill-typed; the encoding never does
-    # this, but guard with a deterministic error rather than a bad script.
-    by_symbol: Dict[str, Sig] = {}
-    for sig in sorted(sigs):
-        prev = by_symbol.get(sig[0])
-        if prev is not None and prev != sig:
-            raise ValueError(
-                f"symbol {sig[0]!r} used inconsistently: {prev} vs {sig}"
-            )
-        by_symbol[sig[0]] = sig
-
-    lines: List[str] = []
-    title = comment or f"obligation {name}"
-    lines.append(f"; repro: {title}")
-    lines.append("; emitted by repro.verify.smtlib (docs/BACKENDS.md)")
-    lines.append(f"(set-logic {logic})")
-    if produce_models:
-        lines.append("(set-option :produce-models true)")
-    lines.append(f"(declare-sort {SORT} 0)")
-    declared: List[str] = []
-    for sym in sorted(by_symbol):
-        _, arity, is_pred = by_symbol[sym]
-        out_sort = "Bool" if is_pred else SORT
-        arg_sorts = " ".join([SORT] * arity)
-        lines.append(f"(declare-fun {sym} ({arg_sorts}) {out_sort})")
-        declared.append(sym)
-    for value in sorted(ints):
-        lines.append(f"(declare-fun {int_symbol(value)} () {SORT})")
-        declared.append(int_symbol(value))
-
-    arities = {
-        sym: sig[1] for sym, sig in by_symbol.items() if not sig[2]
-    }
-    # Constructor names arrive unsanitized; the sanitized form is what the
-    # arity table is keyed by.
-    ctor_table = {
-        c: arities[smt_symbol(c)]
-        for c in constructors
-        if smt_symbol(c) in arities
-    }
-    lines.extend(
-        _constructor_axioms(sorted(ctor_table), ctor_table, sorted(ints))
-    )
-
-    if arith:
-        lines.append("; ground arithmetic folding (E-graph built-in, reified)")
-        for sexpr, value in sorted(arith):
-            lines.append(f"(assert (= {sexpr} {int_symbol(value)}))")
-
-    lines.append(f"; background axioms ({len(compiled_axioms)})")
-    for origin, c in compiled_axioms:
-        if origin:
-            lines.append(f"; {origin}")
-        lines.append(f"(assert {c.sexpr})")
-    if compiled_seeds:
-        lines.append(f"; case-split seeds ({len(compiled_seeds)})")
-        for c in compiled_seeds:
-            lines.append(f"(assert {c.sexpr})")
-    lines.append("; negated goal")
-    lines.append(f"(assert (not {goal_c.sexpr}))")
-    lines.append("(check-sat)")
-    if produce_models:
-        lines.append("(get-model)")
-    lines.append("(exit)")
-    return SmtScript(
-        name=name,
-        text="\n".join(lines) + "\n",
-        axiom_count=len(compiled_axioms),
-        declared=tuple(declared),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Split emission: a once-per-session prelude + a per-goal tail
+# Script assembly: a once-per-process prelude + a per-goal tail
 # ---------------------------------------------------------------------------
 #
-# A persistent solver session (docs/BACKENDS.md, "Persistent solver
-# sessions") asserts the fixed axiomatization once and then discharges each
-# obligation case inside a ``(push 1)``/``(pop 1)`` scope.  The emission is
-# split accordingly: :func:`emit_prelude` renders everything derivable from
-# the axioms alone, and :func:`emit_goal_tail` renders the *delta* a goal
-# adds — declarations not already in the prelude (scoped to the push, per
-# SMT-LIB 2.6 declaration scoping), constructor/arithmetic facts over the
-# goal's new ground terms, the seeds, and the negated goal.  The union of
-# prelude and tail assertions always contains every assertion the full
-# per-goal script (:func:`emit_script`) would have made, so ``unsat``
-# verdicts remain sound for exactly the same reason.
+# Every query is one prelude plus one goal tail (docs/BACKENDS.md, "Solver
+# processes").  :func:`emit_prelude` renders everything derivable from the
+# axioms alone; :func:`emit_goal_tail` renders the *delta* a goal adds —
+# declarations the prelude does not make, constructor/arithmetic facts
+# over the goal's new ground terms, the seeds, and the negated goal.  A
+# process that serves several queries asserts the prelude once and runs
+# each tail inside ``(push 1)``/``(pop 1)`` (SMT-LIB 2.6 pops the tail's
+# declarations with its scope); a one-query process receives the two back
+# to back, which is :func:`emit_obligation`'s script.
 
 
 @dataclass
 class SessionPrelude:
-    """The once-per-session half of the emission."""
+    """The once-per-process half of the emission."""
 
-    logic: str
     #: complete prelude commands, in emission order
     lines: Tuple[str, ...]
     #: declared symbol -> signature (for per-goal conflict checks)
@@ -494,7 +365,6 @@ class SessionPrelude:
     constructors: Tuple[str, ...]
     #: constructor-discipline lines already asserted by the prelude
     ctor_lines: FrozenSet[str]
-    axiom_count: int = 0
 
     @property
     def text(self) -> str:
@@ -509,10 +379,9 @@ class GoalTail:
     """The per-goal half: everything asserted inside one push scope."""
 
     name: str
-    #: commands for the push scope — declarations first, then assertions;
-    #: no ``push``/``pop``/``check-sat`` (the session driver adds those)
+    #: declarations first, then assertions; no ``push``/``pop``/
+    #: ``check-sat`` (the solver driver adds those)
     lines: Tuple[str, ...]
-    declared: Tuple[str, ...] = ()
 
     @property
     def text(self) -> str:
@@ -525,12 +394,10 @@ class GoalTail:
 def emit_prelude(
     axioms: Sequence[Formula],
     constructors: Sequence[str] = (),
-    *,
-    logic: str = "UF",
-    produce_models: bool = True,
 ) -> SessionPrelude:
-    """Render the shared session prelude: logic, declarations, constructor
-    discipline, ground arithmetic over axiom terms, and the axioms."""
+    """Render the prelude every solver process is sent first: logic,
+    declarations, constructor discipline, ground arithmetic over axiom
+    terms, and the axioms."""
     compiled_axioms: List[Tuple[str, _Compiled]] = []
     sigs: Set[Sig] = set()
     ints: Set[int] = set()
@@ -554,13 +421,13 @@ def emit_prelude(
             )
         by_symbol[sig[0]] = sig
 
-    lines: List[str] = []
-    lines.append("; repro: shared session prelude")
-    lines.append("; emitted by repro.verify.smtlib (docs/BACKENDS.md)")
-    lines.append(f"(set-logic {logic})")
-    if produce_models:
-        lines.append("(set-option :produce-models true)")
-    lines.append(f"(declare-sort {SORT} 0)")
+    lines: List[str] = [
+        "; repro: shared prelude",
+        "; emitted by repro.verify.smtlib (docs/BACKENDS.md)",
+        "(set-logic UF)",
+        "(set-option :produce-models true)",
+        f"(declare-sort {SORT} 0)",
+    ]
     for sym in sorted(by_symbol):
         _, arity, is_pred = by_symbol[sym]
         out_sort = "Bool" if is_pred else SORT
@@ -590,7 +457,6 @@ def emit_prelude(
         lines.append(f"(assert {c.sexpr})")
 
     return SessionPrelude(
-        logic=logic,
         lines=tuple(lines),
         symbol_sigs=by_symbol,
         ints=frozenset(ints),
@@ -599,7 +465,6 @@ def emit_prelude(
         ctor_lines=frozenset(
             l for l in ctor_lines if l.startswith("(assert")
         ),
-        axiom_count=len(compiled_axioms),
     )
 
 
@@ -635,9 +500,7 @@ def emit_goal_tail(
             )
         by_symbol[sig[0]] = sig
 
-    lines: List[str] = []
-    declared: List[str] = []
-    lines.append(f"; goal {name}")
+    lines: List[str] = [f"; goal {name}"]
     for sym in sorted(by_symbol):
         if sym in prelude.symbol_sigs:
             continue
@@ -645,11 +508,8 @@ def emit_goal_tail(
         out_sort = "Bool" if is_pred else SORT
         arg_sorts = " ".join([SORT] * arity)
         lines.append(f"(declare-fun {sym} ({arg_sorts}) {out_sort})")
-        declared.append(sym)
-    new_ints = sorted(set(ints) - set(prelude.ints))
-    for value in new_ints:
+    for value in sorted(set(ints) - set(prelude.ints)):
         lines.append(f"(declare-fun {int_symbol(value)} () {SORT})")
-        declared.append(int_symbol(value))
 
     # Constructor facts over the combined ground terms, minus what the
     # prelude already said.  Injectivity/cross-distinctness lines are
@@ -685,48 +545,25 @@ def emit_goal_tail(
             lines.append(f"(assert {c.sexpr})")
     lines.append("; negated goal")
     lines.append(f"(assert (not {goal_c.sexpr}))")
-    return GoalTail(name=name, lines=tuple(lines), declared=tuple(declared))
-
-
-def obligation_cases(obligation) -> List[Tuple[str, Formula]]:
-    """The checker-side statement-kind case analysis, one goal per case.
-
-    Mirrors :func:`repro.verify.checker.discharge_obligation`: an obligation
-    over an arbitrary statement is discharged one statement kind at a time."""
-    from repro.verify import encode as E
-
-    if obligation.split_term is None:
-        return [(obligation.name, obligation.goal)]
-    return [
-        (
-            f"{obligation.name}[{kind.fn}]",
-            Implies(Eq(E.stmt_kind(obligation.split_term), kind), obligation.goal),
-        )
-        for kind in E.STMT_KINDS
-    ]
+    return GoalTail(name=name, lines=tuple(lines))
 
 
 def emit_obligation(
-    obligation,
-    *,
-    axioms: Optional[Sequence[Formula]] = None,
-    constructors: Optional[Sequence[str]] = None,
-    produce_models: bool = True,
-) -> List[SmtScript]:
-    """Emit one script per statement-kind case of ``obligation``."""
-    if axioms is None or constructors is None:
+    obligation, prelude: Optional[SessionPrelude] = None
+) -> List[Tuple[str, str]]:
+    """One complete ``(name, script)`` per statement-kind case of
+    ``obligation``: the prelude, the case's goal tail and ``(check-sat)``
+    — exactly what a one-query solver process is sent."""
+    if prelude is None:
         from repro.verify.encode import CONSTRUCTORS, all_axioms
 
-        axioms = all_axioms() if axioms is None else axioms
-        constructors = sorted(CONSTRUCTORS) if constructors is None else constructors
+        prelude = emit_prelude(all_axioms(), sorted(CONSTRUCTORS))
     return [
-        emit_script(
+        (
             case_name,
-            goal,
-            axioms=axioms,
-            seeds=obligation.seeds,
-            constructors=constructors,
-            produce_models=produce_models,
+            prelude.text
+            + emit_goal_tail(prelude, case_name, goal, seeds=obligation.seeds).text
+            + "(check-sat)\n",
         )
-        for case_name, goal in obligation_cases(obligation)
+        for case_name, goal in obligation.cases()
     ]

@@ -4,9 +4,9 @@ The contract under test, per docs/BACKENDS.md:
 
 * SMT-LIB2 emission produces well-formed ``(set-logic UF)`` scripts whose
   ``unsat`` answers are sound to trust;
-* the solver subprocess discipline is robust — missing binaries, crashes
-  mid-stream, malformed output, hung solvers, and retry exhaustion all
-  produce structured outcomes, never exceptions or hangs;
+* the solver driver's recovery policy is robust — missing binaries,
+  crashes mid-stream, malformed output, hung solvers, and retry exhaustion
+  all produce structured outcomes, never exceptions or hangs;
 * the portfolio merge is a pure function of the two backends' answers
   (byte-identical canonical reports across runs);
 * backend resolution degrades gracefully to internal when no solver
@@ -15,11 +15,11 @@ The contract under test, per docs/BACKENDS.md:
   external verdicts to the producing solver identity.
 
 Everything here runs with *scripted fake solvers* (small Python programs
-standing in for z3), so no SMT solver needs to be installed; the one
-cross-check against a real solver is skipped when none is available.
+standing in for z3 that speak the stdin contract), so no SMT solver needs
+to be installed; the one cross-check against a real solver is skipped
+when none is available.
 """
 
-import subprocess
 import sys
 import time
 
@@ -32,7 +32,7 @@ from repro.prover.backends import (
     InternalBackend,
     PortfolioBackend,
     SmtLibBackend,
-    SolverRunner,
+    SolverSession,
     discover_solver,
     parse_solver_output,
     resolve_backend,
@@ -40,7 +40,7 @@ from repro.prover.backends import (
 )
 from repro.verify.cache import CachedVerdict
 from repro.verify.obligations import ObligationBuilder
-from repro.verify.smtlib import emit_obligation, emit_script
+from repro.verify.smtlib import emit_obligation
 from repro.opts import const_fold, const_prop
 from repro.opts.buggy import copy_prop_no_target_check
 
@@ -51,16 +51,54 @@ def _obligations(pattern):
     return ObligationBuilder(standard_registry()).forward_obligations(pattern)
 
 
+#: A scripted solver speaking the stdin contract: ``%(hook)s`` runs on every
+#: command line, ``%(check_sat)s`` answers ``(check-sat)``, ``%(get_model)s``
+#: answers ``(get-model)``, fences are echoed back and ``(exit)`` ends it.
+_FAKE = """\
+import sys, os, time
+sys.stdout.reconfigure(line_buffering=True)
+
+def check_sat():
+%(check_sat)s
+
+def get_model():
+%(get_model)s
+
+for raw in sys.stdin:
+    line = raw.strip()
+%(hook)s
+    if line.startswith("(check-sat"):
+        check_sat()
+    elif line.startswith("(get-model"):
+        get_model()
+    elif line.startswith("(echo"):
+        print(line.split('"')[1])
+    elif line.startswith("(exit"):
+        break
+"""
+
+
+def _indent(body: str) -> str:
+    return "\n".join("    " + line for line in body.splitlines())
+
+
 @pytest.fixture()
 def fake_solver(tmp_path):
     """A factory for scripted stand-in solvers: returns an argv tuple."""
 
     counter = [0]
 
-    def make(body: str):
+    def make(check_sat: str, get_model: str = "pass", hook: str = "pass"):
         counter[0] += 1
         script = tmp_path / f"solver{counter[0]}.py"
-        script.write_text("import sys, os, time\n" + body)
+        script.write_text(
+            _FAKE
+            % {
+                "check_sat": _indent(check_sat),
+                "get_model": _indent(get_model),
+                "hook": _indent(hook),
+            }
+        )
         return (sys.executable, str(script))
 
     return make
@@ -118,16 +156,50 @@ class TestParseSolverOutput:
 # ---------------------------------------------------------------------------
 
 
+def _suite_obligations():
+    """Every obligation the shipped suite generates, in checking order,
+    built without proving anything (each one is reported proved, so every
+    analysis registers its label for the optimizations that use it)."""
+    from repro.opts import ALL_ANALYSES, ALL_OPTIMIZATIONS
+    from repro.verify import SoundnessChecker
+    from repro.verify.checker import ObligationResult
+
+    captured = []
+
+    class Recording(SoundnessChecker):
+        def _dispatch(self, name, obligations):
+            captured.extend(obligations)
+            return [ObligationResult(ob.name, True, 0.0, []) for ob in obligations]
+
+    checker = Recording()
+    for analysis in ALL_ANALYSES:
+        checker.check_analysis(analysis)
+    for opt in ALL_OPTIMIZATIONS:
+        checker.check_optimization(opt)
+    return captured
+
+
+def _check_script(text):
+    """One one-query script: balanced, every symbol declared once, and
+    exactly one negated goal, asserted last before ``(check-sat)``."""
+    assert text.count("(") == text.count(")")
+    assert text.startswith("; repro:") and "(set-logic UF)" in text
+    lines = text.splitlines()
+    decls = [l.split()[1] for l in lines if l.startswith("(declare-fun")]
+    assert len(decls) == len(set(decls)), "symbol declared twice"
+    assert lines.count("; negated goal") == 1
+    assert lines[-3] == "; negated goal"
+    assert lines[-2].startswith("(assert (not ")
+    assert lines[-1] == "(check-sat)"
+
+
 class TestEmission:
     def test_scripts_well_formed(self):
         obligations = _obligations(const_prop.pattern)
         scripts = emit_obligation(obligations[0])
         assert scripts, "kind split must produce at least one script"
-        for script in scripts:
-            assert script.text.count("(") == script.text.count(")")
-            assert "(set-logic UF)" in script.text
-            assert "(check-sat)" in script.text
-            assert "(assert (not " in script.text  # goal is negated
+        for _name, text in scripts:
+            _check_script(text)
 
     def test_one_script_per_statement_kind(self):
         from repro.verify import encode as E
@@ -137,16 +209,32 @@ class TestEmission:
         assert with_split, "F obligations case-split on the statement kind"
         scripts = emit_obligation(with_split[0])
         assert len(scripts) == len(E.STMT_KINDS)
+        assert [name for name, _ in scripts] == [
+            name for name, _ in with_split[0].cases()
+        ]
 
     def test_declarations_unique(self):
-        scripts = emit_obligation(_obligations(const_prop.pattern)[0])
-        for script in scripts:
+        for _name, text in emit_obligation(_obligations(const_prop.pattern)[0]):
             decls = [
                 line.split()[1]
-                for line in script.text.splitlines()
+                for line in text.splitlines()
                 if line.startswith("(declare-fun")
             ]
             assert len(decls) == len(set(decls)), "duplicate declare-fun"
+
+    def test_whole_suite_scripts_well_formed(self):
+        from repro.verify.encode import CONSTRUCTORS, all_axioms
+        from repro.verify.smtlib import emit_prelude
+
+        prelude = emit_prelude(all_axioms(), sorted(CONSTRUCTORS))
+        obligations = _suite_obligations()
+        assert len(obligations) > 50
+        cases = 0
+        for ob in obligations:
+            for _name, text in emit_obligation(ob, prelude):
+                _check_script(text)
+                cases += 1
+        assert cases > len(obligations)
 
     def test_real_solver_accepts_and_agrees(self):
         # Cross-check against a real SMT solver when one is installed: every
@@ -164,76 +252,113 @@ class TestEmission:
 
 
 # ---------------------------------------------------------------------------
-# Subprocess discipline
+# The solver driver's recovery policy
 # ---------------------------------------------------------------------------
 
 
+def _driver(cmd, **kwargs):
+    """The one solver driver, with a tiny prelude and one-query processes."""
+    return SolverSession(cmd, "(set-logic UF)\n", **kwargs)
+
+
+def _query(driver, **kwargs):
+    try:
+        return driver.check(["(assert true)"], **kwargs)
+    finally:
+        driver.close()
+
+
+@pytest.fixture()
+def no_backoff(monkeypatch):
+    import repro.prover.backends.smtlib as smtlib_backend
+
+    monkeypatch.setattr(smtlib_backend, "RETRY_BACKOFF_S", 0.0)
+
+
 class TestSolverRunner:
+    """The recovery policy of the driver that runs every solver query
+    (docs/BACKENDS.md, "Solver processes")."""
+
     def test_missing_binary_is_immediate_error(self):
-        runner = SolverRunner(("/nonexistent/solver-xyz",), retries=3)
-        outcome = runner.check("(check-sat)\n")
+        outcome = _query(_driver(("/nonexistent/solver-xyz",)))
         assert outcome.status == "error"
+        assert "not found" in outcome.detail
         assert outcome.attempts == 1, "a missing binary must not be retried"
 
     def test_timeout_kills_the_solver(self, fake_solver):
-        cmd = fake_solver("time.sleep(60)\n")
-        runner = SolverRunner(cmd, timeout_s=0.3, retries=2)
+        driver = _driver(fake_solver("time.sleep(60)"), timeout_s=0.3)
         start = time.monotonic()
-        outcome = runner.check("(check-sat)\n")
+        outcome = driver.check(["(assert true)"])
         assert outcome.status == "timeout"
         assert "killed" in outcome.detail
         assert outcome.attempts == 1, "timeouts must not be retried"
+        assert not driver.alive, "a wedged solver must be killed"
         assert time.monotonic() - start < 10.0
 
-    def test_malformed_output_not_retried(self, fake_solver):
-        cmd = fake_solver("print('certainly!')\n")
-        runner = SolverRunner(cmd, retries=5, backoff_s=0.0)
-        outcome = runner.check("(check-sat)\n")
+    def test_malformed_output_not_retried(self, fake_solver, no_backoff):
+        driver = _driver(fake_solver("print('certainly!')"))
+        outcome = _query(driver)
         assert outcome.status == "error"
         assert "malformed" in outcome.detail
         assert outcome.attempts == 1, "deterministic garbage must not be retried"
+        assert driver.spawns == 1
 
-    def test_crash_mid_stream_retries_until_exhausted(self, fake_solver):
-        cmd = fake_solver(
-            "sys.stdout.write('(partial')\nsys.stdout.flush()\nsys.exit(3)\n"
+    def test_malformed_output_at_clean_exit_not_retried(
+        self, fake_solver, no_backoff
+    ):
+        # No fence, a clean exit and output without a verdict token: the
+        # same deterministic garbage, reported the same way.
+        driver = _driver(fake_solver("print('certainly!')\nsys.exit(0)"))
+        outcome = _query(driver)
+        assert outcome.status == "error"
+        assert "malformed" in outcome.detail
+        assert outcome.attempts == 1
+
+    def test_crash_mid_stream_retries_until_exhausted(
+        self, fake_solver, no_backoff
+    ):
+        driver = _driver(
+            fake_solver("sys.stdout.write('(partial')\nsys.stdout.flush()\nsys.exit(3)")
         )
-        runner = SolverRunner(cmd, retries=2, backoff_s=0.0)
-        outcome = runner.check("(check-sat)\n")
+        outcome = _query(driver)
         assert outcome.status == "error"
         assert outcome.attempts == 3  # 1 try + 2 retries
         assert "attempt" in outcome.detail
+        assert driver.spawns == 3, "each retry respawns and replays the prelude"
 
-    def test_transient_crash_recovers_on_retry(self, fake_solver, tmp_path):
+    def test_transient_crash_recovers_on_retry(
+        self, fake_solver, tmp_path, no_backoff
+    ):
         marker = tmp_path / "crashed-once"
         cmd = fake_solver(
             f"m = {str(marker)!r}\n"
             "if not os.path.exists(m):\n"
             "    open(m, 'w').close()\n"
             "    sys.exit(1)\n"
-            "print('unsat')\n"
+            "print('unsat')"
         )
-        runner = SolverRunner(cmd, retries=2, backoff_s=0.0)
-        outcome = runner.check("(check-sat)\n")
+        outcome = _query(_driver(cmd))
         assert outcome.status == "unsat"
         assert outcome.attempts == 2
 
     def test_cancellation_stops_promptly(self, fake_solver):
-        cmd = fake_solver("time.sleep(60)\n")
-        runner = SolverRunner(cmd, timeout_s=30.0, retries=0)
+        driver = _driver(fake_solver("time.sleep(60)"), timeout_s=30.0)
         start = time.monotonic()
-        outcome = runner.check("(check-sat)\n", cancel=lambda: True)
+        outcome = _query(driver, cancel=lambda: True)
         assert outcome.status == "cancelled"
         assert time.monotonic() - start < 5.0
 
-    def test_cancel_consulted_before_retry_backoff(self, tmp_path):
+    def test_cancel_consulted_before_retry_backoff(self, tmp_path, monkeypatch):
         # A directory as the solver command makes every spawn fail with
-        # EACCES — the one failure mode whose retry loop never enters the
-        # process-poll loop, so the *backoff path itself* must consult the
+        # EACCES — the one failure mode whose retry loop never reaches the
+        # output reader, so the *backoff path itself* must consult the
         # cancellation hook.  A decided race must not sit through the
         # whole backoff schedule against an unspawnable solver.
-        runner = SolverRunner((str(tmp_path),), retries=5, backoff_s=5.0)
+        import repro.prover.backends.smtlib as smtlib_backend
+
+        monkeypatch.setattr(smtlib_backend, "RETRY_BACKOFF_S", 5.0)
         start = time.monotonic()
-        outcome = runner.check("(check-sat)\n", cancel=lambda: True)
+        outcome = _query(_driver((str(tmp_path),)), cancel=lambda: True)
         assert outcome.status == "cancelled"
         assert outcome.attempts == 1, "cancelled before the first retry"
         assert time.monotonic() - start < 4.0, "no backoff was slept"
@@ -241,10 +366,30 @@ class TestSolverRunner:
     def test_unsat_with_trailing_output_has_no_model(self, fake_solver):
         # end-to-end twin of the parser test: a solver that prints
         # statistics after its verdict still yields an empty model
-        cmd = fake_solver("print('unsat')\nprint('(:memory 12.34)')\n")
-        outcome = SolverRunner(cmd).check("(check-sat)\n")
+        cmd = fake_solver("print('unsat')\nprint('(:memory 12.34)')")
+        outcome = _query(_driver(cmd))
         assert outcome.status == "unsat"
         assert outcome.model == ()
+
+    def test_one_query_process_gets_no_push_or_pop(self, fake_solver, tmp_path):
+        # The default process serves one query: it receives the prelude,
+        # the goal tail and (check-sat) — no push/pop, so no solver is
+        # switched into incremental mode — and is recycled afterwards.
+        log = tmp_path / "wire.log"
+        cmd = fake_solver(
+            "print('unsat')", hook=f"open({str(log)!r}, 'a').write(line + chr(10))"
+        )
+        driver = _driver(cmd)
+        try:
+            for _ in range(3):
+                assert driver.check(["(assert true)"]).status == "unsat"
+        finally:
+            driver.close()
+        lines = log.read_text().splitlines()
+        assert "(push 1)" not in lines and "(pop 1)" not in lines
+        assert lines.count("(set-logic UF)") == 3, "one prelude per process"
+        assert lines.count("(check-sat)") == 3
+        assert driver.spawns == 3 and driver.queries == 3
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +413,7 @@ class TestSmtLibBackend:
 
     def test_sat_reports_countermodel(self, fake_solver):
         backend = self._backend(
-            fake_solver("print('sat')\nprint('(model (x 1))')\n")
+            fake_solver("print('sat')", get_model="print('(model (x 1))')")
         )
         ob = _obligations(const_fold.pattern)[0]
         result = backend.discharge("constFold", ob)
@@ -305,14 +450,14 @@ class TestSmtLibBackend:
         # Same contract on the internal path (shared by pool workers).
         from repro.verify import encode as E
         from repro.verify.checker import discharge_obligation
-        from repro.verify.parallel import build_prover
+        from repro.prover.backends import build_internal_prover
 
         ob = next(
             o for o in _obligations(const_prop.pattern)
             if o.split_term is not None
         )
         monkeypatch.setattr(E, "STMT_KINDS", ())
-        result = discharge_obligation(build_prover(FAST), "constProp", ob, FAST)
+        result = discharge_obligation(build_internal_prover(FAST), "constProp", ob, FAST)
         assert not result.proved
         assert any("no proof cases" in line for line in result.context)
 
@@ -451,7 +596,7 @@ class TestPortfolio:
         self, fake_solver
     ):
         backend = self._portfolio(
-            fake_solver("print('sat')\nprint('(model)')\n")
+            fake_solver("print('sat')", get_model="print('(model)')")
         )
         ob = _obligations(copy_prop_no_target_check.pattern)[1]
         result = backend.discharge("copyProp", ob)

@@ -287,12 +287,14 @@ class TestRetiredProverFlag:
             ["--kernel", "flat", "verify"],
             ["--prover-mode", "incremental", "verify"],
             ["opt", "prog.il", "--passes", "constProp", "--engine", "worklist"],
+            ["--backend", "smtlib", "--solver-session", "verify"],
         ],
-        ids=["kernel", "prover-mode", "engine"],
+        ids=["kernel", "prover-mode", "engine", "solver-session"],
     )
     def test_removed_switches_are_argparse_errors(self, argv, capsys):
-        """The kernel, prover-mode and engine switches are gone: using one
-        is a usage error (exit 2), never a silently ignored flag."""
+        """The kernel, prover-mode, engine and solver-session switches are
+        gone: using one is a usage error (exit 2), never a silently ignored
+        flag."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

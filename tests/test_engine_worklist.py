@@ -157,6 +157,88 @@ class TestCrossCheck:
 
 
 # ---------------------------------------------------------------------------
+# Memo and CFG reuse across rewrites
+# ---------------------------------------------------------------------------
+
+
+class TestMemoInvalidation:
+    """An engine that already analysed a procedure must answer for the
+    rewritten procedure exactly as a fresh engine does.  Each input makes
+    one piece of the content-keyed reuse observable: the enumeration
+    domains in the ``gen`` memo key, the node's labels in the ``keeps``
+    memo key, and branch targets in the CFG-reuse test (``_edge_sig``)."""
+
+    def test_gen_memo_keyed_by_enumeration_domains(self, reference):
+        from repro.cobalt.guards import GNot
+        from repro.opts import const_fold
+
+        # psi1 binds X and C by enumeration over the procedure's variables
+        # and constants, so gen at an unchanged statement depends on the
+        # rest of the procedure; folding 2 + 3 swaps constants {2, 3} for
+        # {5} without touching ``return b``.
+        psi1 = GNot(GLabel("stmt", (parse_pattern_stmt("X := C"),)))
+        proc = parse_program(
+            "main(n) { decl b; b := 2 + 3; return b; }"
+        ).proc("main")
+        warm = CobaltEngine(standard_registry())
+        warm.guard_facts(psi1, GTrue(), "forward", proc)
+        folded, applied = warm.run_optimization(const_fold, proc)
+        assert applied and folded.constants() != proc.constants()
+        expected = reference.guard_facts(psi1, GTrue(), "forward", folded)
+        fresh = CobaltEngine(standard_registry())
+        for engine in (warm, fresh):
+            got = engine.guard_facts(psi1, GTrue(), "forward", folded)
+            assert canonical_facts(got) == canonical_facts(expected)
+
+    def test_keeps_memo_keyed_by_node_labels(self, worklist, reference):
+        from repro.cobalt.labels import Labeling
+
+        # Nodes 3 and 4 hold the same statement; only node 3 carries the
+        # label psi2 asks for, so the fact dies at node 4.
+        proc = parse_program(
+            "main(n) { decl a; decl b; a := 1; b := n; b := n; return a; }"
+        ).proc("main")
+        assert proc.stmt_at(3) == proc.stmt_at(4)
+        labeling = Labeling()
+        labeling.add(3, "notTainted", (Var("a"),))
+        psi1 = GLabel("stmt", (parse_pattern_stmt("Y := C"),))
+        psi2 = GLabel("notTainted", (VarPat("Y"),))
+        got = worklist.guard_facts(psi1, psi2, "forward", proc, labeling)
+        expected = reference.guard_facts(psi1, psi2, "forward", proc, labeling)
+        assert canonical_facts(got) == canonical_facts(expected)
+        assert got[5] == frozenset(), "node 4 carries no label: nothing survives"
+
+    def test_cfg_rebuilt_when_a_rewrite_retargets_a_branch(self, worklist):
+        from repro.opts import branch_fold
+
+        # Folding ``if 1 goto 3 else 5`` to ``if 1 goto 3 else 3`` cuts
+        # node 5 off, so x is 2 wherever ``y := x`` is reached and constant
+        # propagation rewrites it — but only over the new edges.
+        proc = parse_program(
+            """
+            main(n) {
+              decl x;
+              decl y;
+              if 1 goto 3 else 5;
+              x := 2;
+              if 1 goto 6 else 6;
+              x := 3;
+              y := x;
+              return y;
+            }
+            """
+        ).proc("main")
+        folded, applied = worklist.run_optimization(branch_fold, proc)
+        assert applied
+        assert Cfg.build(folded).succs != Cfg.build(proc).succs
+        warm_out, _ = worklist.run_optimization(const_prop, folded)
+        fresh = CobaltEngine(standard_registry())
+        fresh_out, _ = fresh.run_optimization(const_prop, folded)
+        assert warm_out == fresh_out
+        assert warm_out.stmt_at(6) == Assign(VarLhs(Var("y")), Const(2))
+
+
+# ---------------------------------------------------------------------------
 # Deterministic Delta ordering (satellite)
 # ---------------------------------------------------------------------------
 

@@ -20,7 +20,8 @@ from repro.api import VerifyOptions
 from repro.verify import SoundnessChecker
 from repro.verify.checker import discharge_obligation
 from repro.verify.obligations import Obligation, ObligationBuilder
-from repro.verify.parallel import build_prover, discharge_parallel
+from repro.prover.backends import build_internal_prover
+from repro.verify.parallel import discharge_parallel
 from repro.opts import (
     branch_fold,
     const_fold,
@@ -158,7 +159,7 @@ class TestFallbacks:
         )
         bad = copy.copy(obligations[0])
         object.__setattr__(bad, "hook", lambda: None)  # poisons pickling
-        prover = build_prover(FAST)
+        prover = build_internal_prover(FAST)
         results = discharge_parallel(
             "constFold", [bad], FAST, jobs=2, fallback_prover=prover
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.prover.core import Result, Stats, Status
+from repro.prover.core import ProverStats, Result, Status
 from repro.verify.checker import ObligationResult, SoundnessReport
 
 
@@ -53,11 +53,11 @@ class TestSoundnessReport:
 
 class TestProverResult:
     def test_proved_has_no_context_in_str(self):
-        result = Result(Status.PROVED, "goal", [], Stats())
+        result = Result(Status.PROVED, "goal", [], ProverStats())
         assert str(result) == "[proved] goal"
 
     def test_unknown_renders_context(self):
-        result = Result(Status.UNKNOWN, "goal", ["a = b  [decision@0]"], Stats())
+        result = Result(Status.UNKNOWN, "goal", ["a = b  [decision@0]"], ProverStats())
         text = str(result)
         assert "counterexample context" in text
         assert "a = b" in text

@@ -451,6 +451,16 @@ class TestHTTP:
         assert b"411" in response.split(b"\r\n", 1)[0]
         assert daemon.request("GET", "/v1/healthz")[0] == 200
 
+    def test_removed_solver_session_option_is_400(self, daemon):
+        # The --solver-session switch is gone, but a client that still
+        # sends its option is refused rather than silently ignored.
+        body = json.dumps(envelope("job-request", {
+            "source": CONST_PROP, "options": {"solver_session": True},
+        })).encode()
+        status, _, reply = daemon.request("POST", "/v1/jobs", body=body)
+        assert status == 400
+        assert "solver_session" in json.loads(reply)["error"]
+
     def test_garbage_request_line_is_400(self, daemon):
         with socket.create_connection(("127.0.0.1", daemon.port), 10) as sock:
             sock.sendall(b"utter nonsense\r\n\r\n")

@@ -1,23 +1,25 @@
-"""Persistent incremental solver sessions (docs/BACKENDS.md).
+"""Solver processes that serve several queries (docs/BACKENDS.md).
 
 The contract under test:
 
-* :func:`session_argv` maps known solvers onto their incremental flag and
-  leaves unknown commands (scripted fakes, custom wrappers) untouched;
-* :class:`SolverSession` speaks the push/pop protocol — the shared
-  prelude is asserted exactly once per solver *process*, every query runs
-  inside its own ``(push 1)``/``(pop 1)`` scope, and ``max_queries``
-  recycles the process (replaying the prelude) on schedule;
-* session anomalies map onto the spawn-per-script verdict semantics:
-  a crash respawns-and-replays (then degrades one query to the
-  :class:`SolverRunner` fallback), a wedge kills the process and reports
-  ``timeout``, a decided race cancels promptly;
-* the session is *invisible* in results: backend identity, canonical
-  reports, and proof-cache keys are byte-identical to spawn-per-script
-  mode, and process-pool workers each own (and tear down) their session.
+* :func:`session_argv` maps known solvers onto their stdin/incremental
+  flags and leaves unknown commands (the z3shim, scripted fakes, custom
+  wrappers) untouched;
+* :class:`SolverSession` speaks the push/pop protocol when a process
+  serves several queries — the shared prelude is asserted exactly once per
+  solver *process*, every query runs inside its own ``(push 1)``/
+  ``(pop 1)`` scope, and ``max_queries`` recycles the process (replaying
+  the prelude) on schedule;
+* anomalies follow the one recovery policy: a crash respawns-and-replays
+  (bounded), garbage is ``malformed solver output``, a wedge kills the
+  process and reports ``timeout``, a decided race cancels promptly;
+* the process discipline is *invisible* in results: backend identity,
+  canonical reports, and proof-cache keys are byte-identical for
+  ``max_session_queries`` 0, 1 and 2, and process-pool workers each own
+  (and tear down) their solver process.
 
-Everything runs with scripted fake solvers speaking the incremental
-stdin protocol, so no SMT solver needs to be installed.
+Everything runs with scripted fake solvers speaking the stdin protocol,
+so no SMT solver needs to be installed.
 """
 
 import sys
@@ -29,7 +31,6 @@ from repro.cobalt.labels import standard_registry
 from repro.prover import ProverConfig
 from repro.prover.backends import (
     BackendSpec,
-    SessionBroken,
     SmtLibBackend,
     SolverSession,
     session_argv,
@@ -39,12 +40,10 @@ from repro.opts import const_fold, const_prop
 
 FAST = ProverConfig(timeout_s=60.0)
 
-#: A scripted solver speaking both process disciplines: given a script
-#: path it answers like a spawn-per-script solver; on stdin it speaks the
-#: incremental session subset (echo fences replayed, one verdict per
-#: ``(check-sat)``).  ``%(hook)s`` runs per stdin line, ``%(verdict)s``
-#: answers ``(check-sat)``, ``%(file_verdict)s`` answers script mode.
-_DUAL = """\
+#: A scripted solver speaking the stdin protocol (echo fences replayed,
+#: one verdict per ``(check-sat)``).  ``%(hook)s`` runs per stdin line,
+#: ``%(verdict)s`` answers ``(check-sat)``.
+_FAKE = """\
 def handle(line):
 %(hook)s
     if line.startswith("(check-sat"):
@@ -54,11 +53,8 @@ def handle(line):
     elif line.startswith("(exit"):
         raise SystemExit(0)
 
-if len(sys.argv) > 1:
-%(file_verdict)s
-else:
-    for raw in sys.stdin:
-        handle(raw.strip())
+for raw in sys.stdin:
+    handle(raw.strip())
 """
 
 
@@ -68,30 +64,31 @@ def _indent(body: str, by: str) -> str:
 
 @pytest.fixture()
 def fake_session_solver(tmp_path):
-    """Factory for dual-mode scripted solvers: returns an argv tuple."""
+    """Factory for scripted stdin-protocol solvers: returns an argv tuple."""
 
     counter = [0]
 
-    def make(
-        verdict: str = "print('unsat', flush=True)",
-        *,
-        hook: str = "pass",
-        file_verdict: str = "print('unsat')",
-    ):
+    def make(verdict: str = "print('unsat', flush=True)", *, hook: str = "pass"):
         counter[0] += 1
         script = tmp_path / f"session{counter[0]}.py"
         script.write_text(
             "import sys, os, time\n"
-            + _DUAL
+            + _FAKE
             % {
                 "hook": _indent(hook, "    "),
                 "verdict": _indent(verdict, "        "),
-                "file_verdict": _indent(file_verdict, "    "),
             }
         )
         return (sys.executable, str(script))
 
     return make
+
+
+@pytest.fixture()
+def no_backoff(monkeypatch):
+    import repro.prover.backends.smtlib as smtlib_backend
+
+    monkeypatch.setattr(smtlib_backend, "RETRY_BACKOFF_S", 0.0)
 
 
 def _obligations(pattern):
@@ -103,20 +100,20 @@ def _backend(cmd, *, timeout_s=30.0, max_session_queries=0):
         name="smtlib",
         solver_cmd=cmd,
         solver_timeout_s=timeout_s,
-        session=True,
         max_session_queries=max_session_queries,
     )
     return SmtLibBackend(spec, FAST)
 
 
 # ---------------------------------------------------------------------------
-# Incremental argv mapping
+# Stdin argv mapping
 # ---------------------------------------------------------------------------
 
 
 class TestSessionArgv:
     def test_z3_gets_stdin_flag(self):
         assert session_argv(("/usr/bin/z3",)) == ("/usr/bin/z3", "-in")
+        assert session_argv(("z3",), incremental=False) == ("z3", "-in")
 
     def test_cvc5_gets_incremental_flag(self):
         assert session_argv(("cvc5", "--lang=smt2")) == (
@@ -124,10 +121,12 @@ class TestSessionArgv:
             "--lang=smt2",
             "--incremental",
         )
+        # a one-query process is not switched into incremental mode
+        assert session_argv(("cvc5",), incremental=False) == ("cvc5",)
 
-    def test_bundled_shim_gets_session_flag(self):
+    def test_bundled_shim_runs_as_given(self):
         cmd = (sys.executable, "-m", "repro.prover.backends.z3shim")
-        assert session_argv(cmd) == cmd + ("--session",)
+        assert session_argv(cmd) == cmd
 
     def test_unknown_command_unchanged(self):
         cmd = (sys.executable, "/tmp/fake-solver.py")
@@ -149,7 +148,9 @@ class TestSolverSession:
         return session, log
 
     def test_push_pop_discipline(self, fake_session_solver, tmp_path):
-        session, log = self._logged_session(fake_session_solver, tmp_path)
+        session, log = self._logged_session(
+            fake_session_solver, tmp_path, max_queries=0
+        )
         try:
             session.start()
             for _ in range(3):
@@ -195,33 +196,34 @@ class TestSolverSession:
         )
         session = SolverSession(cmd, "(set-logic UF)\n")
         try:
-            session.start()
             outcome = session.check(["(assert true)"])
         finally:
             session.close()
         assert outcome.status == "sat"
         assert "(model (x 1))" in outcome.model
 
-    def test_crash_mid_query_is_session_broken(self, fake_session_solver):
+    def test_crash_mid_query_is_session_broken(
+        self, fake_session_solver, no_backoff
+    ):
+        # Every attempt crashes: respawn-and-replay twice, then an error.
         cmd = fake_session_solver("os._exit(3)")
-        session = SolverSession(cmd, "(set-logic UF)\n")
+        session = SolverSession(cmd, "(set-logic UF)\n", max_queries=0)
         try:
-            session.start()
-            with pytest.raises(SessionBroken) as exc:
-                session.check(["(assert true)"])
-            assert exc.value.kind == "crash"
+            outcome = session.check(["(assert true)"])
         finally:
             session.close()
+        assert outcome.status == "error"
+        assert "code 3" in outcome.detail
+        assert outcome.attempts == 3
+        assert session.spawns == 3
 
     def test_wedge_kills_the_process(self, fake_session_solver):
         cmd = fake_session_solver("time.sleep(60)")
         session = SolverSession(cmd, "(set-logic UF)\n", timeout_s=0.3)
         try:
-            session.start()
             start = time.monotonic()
-            with pytest.raises(SessionBroken) as exc:
-                session.check(["(assert true)"])
-            assert exc.value.kind == "wedge"
+            outcome = session.check(["(assert true)"])
+            assert outcome.status == "timeout"
             assert time.monotonic() - start < 10.0
             assert not session.alive, "a wedged solver must be killed"
         finally:
@@ -229,18 +231,19 @@ class TestSolverSession:
 
     def test_garbage_answer_is_protocol_broken(self, fake_session_solver):
         cmd = fake_session_solver("print('certainly!', flush=True)")
-        session = SolverSession(cmd, "(set-logic UF)\n")
+        session = SolverSession(cmd, "(set-logic UF)\n", max_queries=0)
         try:
-            session.start()
-            with pytest.raises(SessionBroken) as exc:
-                session.check(["(assert true)"])
-            assert exc.value.kind == "protocol"
+            outcome = session.check(["(assert true)"])
         finally:
             session.close()
+        assert outcome.status == "error"
+        assert "malformed solver output" in outcome.detail
+        assert outcome.attempts == 1
+        assert not session.alive, "a garbling solver is not kept"
 
 
 # ---------------------------------------------------------------------------
-# The backend: one warm process, recovery, fallback
+# The backend: one warm process, recovery
 # ---------------------------------------------------------------------------
 
 
@@ -254,13 +257,11 @@ class TestSessionBackend:
                 assert result.proved, result.context
         finally:
             backend.close()
-        assert backend.process_spawns == 1, (
+        assert backend.session.spawns == 1, (
             "a healthy session discharges the whole obligation set "
             "with a single solver process"
         )
-        assert backend.session_queries > len(obligations)
-        assert backend.fallback_queries == 0
-        assert backend.runner.spawns == 0
+        assert backend.session.queries > len(obligations)
 
     def test_crash_respawns_and_replays(
         self, fake_session_solver, tmp_path
@@ -285,27 +286,24 @@ class TestSessionBackend:
                 assert result.proved, result.context
         finally:
             backend.close()
-        assert backend.session_spawns == 2, "one crash, one respawn"
-        assert backend.fallback_queries == 0
-        assert backend.runner.spawns == 0
+        assert backend.session.spawns == 2, "one crash, one respawn"
 
     def test_persistent_garbage_degrades_to_spawn_fallback(
         self, fake_session_solver
     ):
-        # Session answers are never a verdict token; after the
-        # respawn-and-replay attempt the query must degrade to the
-        # spawn-per-script runner (whose script-mode answer is unsat).
+        # Answers are never a verdict token: that is malformed solver
+        # output, not retried, and the obligation is inconclusive.
         backend = _backend(
             fake_session_solver("print('certainly!', flush=True)")
         )
         try:
             ob = _obligations(const_fold.pattern)[0]
-            result = backend.discharge("constFold", ob)
-            assert result.proved, result.context
+            proved, conclusive, context = backend.run_cases(ob)
         finally:
             backend.close()
-        assert backend.fallback_queries >= 1
-        assert backend.runner.spawns >= 1
+        assert not proved and not conclusive
+        assert any("malformed solver output" in line for line in context)
+        assert backend.session.spawns == 1
 
     def test_wedge_reports_timeout_like_spawn_mode(self, fake_session_solver):
         cmd = fake_session_solver("time.sleep(60)")
@@ -321,14 +319,12 @@ class TestSessionBackend:
     def test_identity_hides_the_session(self, fake_session_solver):
         # Proof-cache keys must not depend on the process discipline.
         cmd = fake_session_solver()
-        spawn = SmtLibBackend(
-            BackendSpec(name="smtlib", solver_cmd=cmd), FAST
-        )
+        one_query = _backend(cmd, max_session_queries=1)
         session = _backend(cmd)
         try:
-            assert spawn.identity() == session.identity()
+            assert one_query.identity() == session.identity()
         finally:
-            spawn.close()
+            one_query.close()
             session.close()
 
     def test_close_is_idempotent(self, fake_session_solver):
@@ -337,10 +333,10 @@ class TestSessionBackend:
         assert backend.discharge("constFold", ob).proved
         backend.close()
         backend.close()
-        assert backend._session is None
-        # a post-close discharge transparently re-opens a session
+        assert not backend.session.alive
+        # a post-close discharge transparently starts a fresh process
         assert backend.discharge("constFold", ob).proved
-        assert backend.process_spawns == 2
+        assert backend.session.spawns == 2
         backend.close()
 
 
@@ -365,13 +361,13 @@ class TestSessionIntegration:
 
         cmd = fake_session_solver()
         reports = {}
-        for mode in (True, False):
+        for queries in (0, 1, 2):
             checker = SoundnessChecker(
-                options=self._options(cmd, solver_session=mode)
+                options=self._options(cmd, max_session_queries=queries)
             )
-            reports[mode] = checker.check_optimization(const_prop).canonical()
+            reports[queries] = checker.check_optimization(const_prop).canonical()
             checker.backend.close()
-        assert reports[True] == reports[False]
+        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.slow
     def test_session_suite_byte_identical_to_spawn(self, fake_session_solver):
@@ -379,38 +375,69 @@ class TestSessionIntegration:
 
         cmd = fake_session_solver()
         canonicals = {}
-        for mode in (True, False):
+        for queries in (0, 1, 2):
             report = verify_suite(
-                self._options(cmd, solver_session=mode),
+                self._options(cmd, max_session_queries=queries),
                 analyses=[],
                 optimizations=[const_fold, const_prop],
             )
-            canonicals[mode] = report.canonical()
-        assert canonicals[True] == canonicals[False]
+            canonicals[queries] = report.canonical()
+        assert canonicals[0] == canonicals[1] == canonicals[2]
 
     def test_parallel_session_matches_serial(self, fake_session_solver):
         from repro.verify import SoundnessChecker
 
         cmd = fake_session_solver()
         serial = SoundnessChecker(
-            options=self._options(cmd, solver_session=True)
+            options=self._options(cmd, max_session_queries=0)
         )
         pooled = SoundnessChecker(
-            options=self._options(cmd, solver_session=True, jobs=2)
+            options=self._options(cmd, max_session_queries=0, jobs=2)
         )
         left = serial.check_optimization(const_prop).canonical()
         right = pooled.check_optimization(const_prop).canonical()
         serial.backend.close()
         assert left == right
 
+    def test_cli_max_session_queries_2_recycles_the_process(
+        self, fake_session_solver, tmp_path, capsys
+    ):
+        # Through the CLI: every process serves at most two queries, in
+        # push/pop scopes, and the prelude is replayed on each fresh one.
+        from repro.cli import main
+
+        log = tmp_path / "wire.log"
+        cmd = fake_session_solver(
+            hook=f"open({str(log)!r}, 'a').write(line + chr(10))"
+        )
+        source = tmp_path / "one.cobalt"
+        source.write_text(
+            "forward optimization cliConstProp {\n"
+            "  stmt(Y := C)\n  followed by\n  !mayDef(Y)\n  until\n"
+            "  X := Y  =>  X := C\n  with witness\n  eta(Y) == C\n}\n"
+        )
+        argv = [
+            "--backend", "smtlib",
+            "--solver-cmd", " ".join(cmd),
+            "--max-session-queries", "2",
+            "check", str(source),
+        ]
+        assert main(argv) == 0
+        assert "REJECTED" not in capsys.readouterr().out
+        lines = log.read_text().splitlines()
+        queries = lines.count("(check-sat)")
+        assert queries > 2
+        assert lines.count("(set-logic UF)") == (queries + 1) // 2
+        assert lines.count("(push 1)") == queries
+
     def test_worker_owns_and_tears_down_its_session(self, fake_session_solver):
-        # Drive the pool-worker lifecycle in-process: init builds a
-        # session-mode backend, a discharge warms the session, close
-        # releases it (this is what the atexit hook runs on pool teardown).
+        # Drive the pool-worker lifecycle in-process: init builds the
+        # backend, a discharge warms its solver process, close releases it
+        # (this is what the atexit hook runs on pool teardown).
         import repro.verify.parallel as parallel
 
         spec = BackendSpec(
-            name="smtlib", solver_cmd=fake_session_solver(), session=True
+            name="smtlib", solver_cmd=fake_session_solver(), max_session_queries=0
         )
         parallel._worker_init(FAST, spec)
         backend = parallel._WORKER_BACKEND
@@ -421,8 +448,8 @@ class TestSessionIntegration:
                 (0, "constFold", ob, FAST, spec)
             )
             assert index == 0 and result.proved
-            assert backend._session is not None and backend._session.alive
+            assert backend.session.alive
         finally:
             parallel._worker_close()
         assert parallel._WORKER_BACKEND is None
-        assert backend._session is None, "teardown must close the session"
+        assert not backend.session.alive, "teardown must close the process"

@@ -224,6 +224,22 @@ class TestOptionsRoundTrips:
         assert EngineOptions.from_wire(engine_doc) == EngineOptions(iterate=True)
 
 
+    def test_older_clients_solver_session_key_still_decodes(self):
+        """Documents from before the solver-session switch was removed
+        decode: ``solver_session: false`` meant a process per query."""
+        assert "solver_session" not in VerifyOptions().to_wire()
+        old_default = envelope("verify-options", {
+            "backend": "smtlib", "solver_session": False,
+            "max_session_queries": 0,
+        })
+        assert VerifyOptions.from_wire(old_default).max_session_queries == 1
+        warm = envelope("verify-options", {
+            "backend": "smtlib", "solver_session": True,
+            "max_session_queries": 0,
+        })
+        assert VerifyOptions.from_wire(warm).max_session_queries == 0
+
+
 class TestRunResultRoundTrip:
     def test_program_and_sites_survive(self):
         from repro.il import parse_program
