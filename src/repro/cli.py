@@ -26,8 +26,8 @@ Usage (also via ``python -m repro``)::
   optimization (section 7).
 * ``suite`` / ``verify`` verify the entire shipped optimization suite.
 * ``serve`` runs the verification daemon (docs/SERVICE.md): an asyncio
-  HTTP/JSON service over the same façade, batching proof obligations
-  across concurrent requests into one shared worker pool.  With
+  HTTP/JSON service over the same façade, proving each obligation once
+  across concurrent requests through one shared proof cache.  With
   ``--cache-dir DIR`` it also serves DIR as the network proof cache.
 
 The global ``--jobs N`` flag fans proof obligations out across N worker
@@ -379,7 +379,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         max_concurrent_jobs=args.max_jobs,
-        batch_window_s=args.batch_window,
         rate=args.rate,
         burst=args.burst,
     )
@@ -615,8 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve",
                        help="run the verification daemon: HTTP/JSON over "
-                            "the repro.api façade, batching obligations "
-                            "across concurrent requests (docs/SERVICE.md)")
+                            "the repro.api façade, proving each obligation "
+                            "once across concurrent requests "
+                            "(docs/SERVICE.md)")
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default: 127.0.0.1)")
     p.add_argument("--port", type=int, default=8421,
@@ -624,9 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-jobs", type=int, default=8, metavar="N",
                    help="verification jobs running concurrently; further "
                         "submissions queue (default: 8)")
-    p.add_argument("--batch-window", type=float, default=0.05, metavar="S",
-                   help="how long the obligation broker waits to batch "
-                        "work from concurrent requests (default: 0.05s)")
     p.add_argument("--rate", type=float, default=10.0, metavar="R",
                    help="per-client job submissions refilled per second "
                         "(default: 10)")

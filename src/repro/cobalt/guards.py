@@ -178,24 +178,6 @@ class GCase:
 Guard = object  # union of the above
 
 
-def gand(*parts: Guard) -> Guard:
-    flat = [p for p in parts if not isinstance(p, GTrue)]
-    if any(isinstance(p, GFalse) for p in flat):
-        return GFalse()
-    if not flat:
-        return GTrue()
-    return flat[0] if len(flat) == 1 else GAnd(tuple(flat))
-
-
-def gor(*parts: Guard) -> Guard:
-    flat = [p for p in parts if not isinstance(p, GFalse)]
-    if any(isinstance(p, GTrue) for p in flat):
-        return GTrue()
-    if not flat:
-        return GFalse()
-    return flat[0] if len(flat) == 1 else GOr(tuple(flat))
-
-
 def guard_pattern_vars(guard: Guard) -> FrozenSet[str]:
     """All pattern-variable names occurring in a guard."""
     return frozenset(leaf.name for leaf in guard_leaves(guard))  # type: ignore[attr-defined]

@@ -288,11 +288,6 @@ def _unchanged(args: Tuple[object, ...], ctx: NodeCtx) -> bool:
     return True
 
 
-def _not_tainted_lookup(args: Tuple[object, ...], ctx: NodeCtx) -> bool:
-    (var,) = args
-    return ctx.labeling.has(ctx.index, "notTainted", (var,))
-
-
 def standard_registry() -> LabelRegistry:
     """The label library every optimization in :mod:`repro.opts` builds on.
 

@@ -225,11 +225,6 @@ STMT_TYPES = (Decl, Skip, Assign, New, Call, IfGoto, Return)
 EXPR_TYPES = (Var, Const, Deref, AddrOf, UnOp, BinOp)
 
 
-def is_base_expr(e: object) -> bool:
-    """Return True if ``e`` is a base expression (variable or constant)."""
-    return isinstance(e, (Var, Const))
-
-
 def expr_vars(e: Expr) -> frozenset[str]:
     """The set of variable names *read* when evaluating ``e``.
 

@@ -34,7 +34,7 @@ from repro.il.ast import (
     Var,
     VarLhs,
 )
-from repro.il.program import Procedure, Program
+from repro.il.program import Procedure
 
 
 @dataclass
@@ -45,7 +45,6 @@ class GeneratorConfig:
     num_stmts: int = 12
     num_branches: int = 2
     allow_pointers: bool = False
-    allow_calls: bool = False
     allow_division: bool = False
     const_pool: Sequence[int] = (0, 1, 2, 3, 5)
 
@@ -183,32 +182,3 @@ class ProgramGenerator:
         target = self.rng.choice(writable)
         rhs_scope = [v for v in initialized]
         return Assign(VarLhs(Var(target)), self._expr(rhs_scope, pointer_vars))
-
-    def gen_program(self) -> Program:
-        """Generate a single-procedure program (plus callees when enabled)."""
-        procs = [self.gen_proc()]
-        if self.config.allow_calls:
-            helper = ProcBuilderLikeHelper(self.rng).simple_helper("helper")
-            procs.append(helper)
-        program = Program(tuple(procs))
-        program.validate()
-        return program
-
-
-class ProgramBuilderLikeHelper:
-    pass
-
-
-class ProcBuilderLikeHelper:
-    """Generates tiny terminating helper procedures for call-enabled tests."""
-
-    def __init__(self, rng: random.Random) -> None:
-        self.rng = rng
-
-    def simple_helper(self, name: str) -> Procedure:
-        stmts = (
-            Decl(Var("t")),
-            Assign(VarLhs(Var("t")), BinOp("+", Var("a"), Const(self.rng.randint(0, 3)))),
-            Return(Var("t")),
-        )
-        return Procedure(name, "a", stmts)

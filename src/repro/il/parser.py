@@ -262,12 +262,3 @@ def parse_stmt(text: str) -> Stmt:
     if parser.peek().kind != "EOF":
         raise parser.error("trailing input after statement")
     return stmt
-
-
-def parse_expr(text: str) -> Expr:
-    """Parse a single expression."""
-    parser = _Parser(text)
-    expr = parser.expr()
-    if parser.peek().kind != "EOF":
-        raise parser.error("trailing input after expression")
-    return expr

@@ -7,18 +7,8 @@ property in the test suite).
 
 from __future__ import annotations
 
-from repro.il.ast import Stmt, Expr, Lhs
+from repro.il.ast import Stmt
 from repro.il.program import Procedure, Program
-
-
-def expr_to_str(e: Expr) -> str:
-    """Concrete syntax for an expression."""
-    return str(e)
-
-
-def lhs_to_str(lhs: Lhs) -> str:
-    """Concrete syntax for an assignment target."""
-    return str(lhs)
 
 
 def stmt_to_str(s: Stmt) -> str:

@@ -65,11 +65,6 @@ class Procedure:
         """All statement indices of this procedure."""
         return range(len(self.stmts))
 
-    @property
-    def entry_index(self) -> int:
-        """Index of the procedure's entry statement."""
-        return 0
-
     def exit_indices(self) -> Tuple[int, ...]:
         """Indices of all ``return`` statements."""
         return tuple(i for i, s in enumerate(self.stmts) if isinstance(s, Return))

@@ -73,11 +73,6 @@ class ProverConfig:
     max_instances: int = 20_000  # total ground instances per prove call
     max_decisions: int = 200_000
     timeout_s: float = 120.0
-    #: Literal scoring for case splits: higher scores are decided first.
-    #: The default prefers literals from clauses whose origin marks them as
-    #: deliberate case-split seeds (the Cobalt checker's kind-exhaustiveness
-    #: instances) — the analogue of Simplify's case-split ordering.
-    split_priority: Optional[object] = None
     #: Debug/test hook: record the canonical keys of the instances admitted
     #: by each instantiation round (``Result.round_instances``; used by the
     #: round-by-round full-re-match tests).
@@ -771,7 +766,6 @@ class _Search:
         open clauses without touching the E-graph."""
         stats = self.stats
         stats.scan_passes += 1
-        priority_fn = self.cfg.split_priority or default_split_priority
         eg = self.egraph
         events = eg.events
         dirty = self.dirty
@@ -888,7 +882,7 @@ class _Search:
             elif has_undetermined_kind:
                 clause_priority = -1
             else:
-                clause_priority = priority_fn(candidate, clause)
+                clause_priority = default_split_priority(candidate, clause)
             journal((2, index, evals[index]))
             evals[index] = (width, candidate, clause_priority)
             entry = (-clause_priority, width)

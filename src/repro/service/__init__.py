@@ -11,33 +11,24 @@ answers that are byte-identical to a local ``verify_suite`` run.
 * :mod:`repro.service.wire` — the versioned wire schema shared by the
   daemon, the CLI ``--json`` output, and the ``to_wire()``/``from_wire()``
   methods on the public result types;
-* :mod:`repro.service.jobs` — the job queue and the obligation broker
-  that batches proof obligations *across* concurrent requests into one
-  shared process pool;
+* :mod:`repro.service.jobs` — the job queue, running each job's stock
+  checker over one shared proof cache (whose single-flight claims prove
+  each obligation once *across* concurrent requests) and one shared
+  process pool;
 * :mod:`repro.service.ratelimit` — per-client token buckets behind the
   daemon's 429s;
 * :mod:`repro.service.server` — the stdlib-only asyncio HTTP front end.
 """
 
-from repro.service.jobs import (
-    BrokerStats,
-    Job,
-    ObligationBroker,
-    ServiceChecker,
-    ServiceOverloadedError,
-    VerificationService,
-)
+from repro.service.jobs import Job, ServiceOverloadedError, VerificationService
 from repro.service.ratelimit import RateLimiter, TokenBucket
 from repro.service.server import ServiceServer, run_server
 from repro.service.wire import WIRE_VERSION, WireError
 
 __all__ = [
     "WIRE_VERSION",
-    "BrokerStats",
     "Job",
-    "ObligationBroker",
     "RateLimiter",
-    "ServiceChecker",
     "ServiceOverloadedError",
     "ServiceServer",
     "TokenBucket",

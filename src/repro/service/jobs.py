@@ -1,32 +1,23 @@
-"""Job execution and cross-request obligation batching for the daemon.
+"""Job execution for the daemon.
 
-Three layers, bottom to top:
+:class:`VerificationService` is the job queue: it validates wire requests
+and runs each job on a thread pool with the stock
+:class:`~repro.verify.checker.SoundnessChecker`, exactly as a local run
+does, streaming progress events to whoever is watching the job.  The
+service lends every job's checker two shared objects and nothing else:
 
-* :class:`ObligationBroker` — a thread-safe batching queue in front of the
-  process pool.  Checkers (one per job) hand it cache-missed obligations;
-  a dispatcher thread collects everything that arrives within a short
-  batching window, dedupes identical obligations *across jobs* by content
-  key, groups by (prover config, backend spec, owner), and dispatches each
-  group through :func:`repro.verify.parallel.discharge_parallel` over one
-  long-lived shared executor.  Eight clients verifying the same suite
-  concurrently thus share one proof search per distinct obligation.
-
-* :class:`ServiceChecker` — a :class:`SoundnessChecker` whose
-  ``_dispatch`` seam routes to the broker instead of spawning its own
-  pool.  Everything else (obligation construction, cache read-through,
-  report assembly) is the stock checker, which is what makes daemon
-  reports byte-identical to local ones.
-
-* :class:`VerificationService` — the job queue: validates wire requests,
-  runs each job on a thread pool with a fresh checker over one *shared*
-  :class:`ProofCache` and the shared broker, and streams progress events
-  to whoever is watching the job.
+* one :class:`~repro.verify.cache.ProofCache`, whose single-flight claims
+  make concurrent jobs prove each distinct obligation once — a job that
+  misses a key another job is proving waits for that search and replays
+  its verdict through the ordinary cache lookup;
+* with ``--jobs > 1``, one long-lived process pool
+  (:func:`repro.verify.parallel.make_executor`), built on first use.
 
 Byte-identity argument: ``SoundnessReport.canonical()`` renders only
-names and verdicts; verdicts are deterministic per obligation *content*
-(the proof cache already replays them across pattern names), so routing
-an obligation through the broker — or serving a waiter from another job's
-in-flight search — cannot change any canonical report.
+names and verdicts, and verdicts are deterministic per obligation
+*content* (the proof cache already replays them across pattern names), so
+a verdict served from another job's search cannot change any canonical
+report.
 """
 
 from __future__ import annotations
@@ -34,8 +25,8 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import VerifyOptions
@@ -46,8 +37,8 @@ from repro.service.wire import (
     prover_options_from_wire,
     suite_report_to_wire,
 )
-from repro.verify.cache import ProofCache, config_fingerprint, obligation_key
-from repro.verify.checker import ObligationResult, SoundnessChecker
+from repro.verify.cache import ProofCache
+from repro.verify.checker import SoundnessChecker
 
 #: VerifyOptions fields a *client* may set over the wire.  Everything
 #: else — backend selection, solver commands, cache locations, pool
@@ -80,253 +71,6 @@ class ServiceOverloadedError(RuntimeError):
     Live jobs are never evicted from the job map, so without a bound a
     sustained submitter could grow the map and the runner queue without
     limit; the HTTP layer maps this to 429."""
-
-
-@dataclass
-class BrokerStats:
-    """Counters proving (or disproving) that cross-request batching works."""
-
-    #: obligations handed to the broker by all checkers
-    enqueued: int = 0
-    #: group dispatches into the process pool
-    dispatches: int = 0
-    #: unique obligations sent across all dispatches
-    batched_obligations: int = 0
-    #: waiters served by another waiter's in-flight search (cross- or
-    #: intra-job duplicate obligations coalesced within one window)
-    coalesced: int = 0
-    #: dispatches whose obligations came from >1 distinct job — the
-    #: smoking gun for cross-request batching
-    shared_dispatches: int = 0
-    #: largest single dispatch (unique obligations)
-    max_batch: int = 0
-
-    def to_wire(self) -> dict:
-        return {
-            "enqueued": self.enqueued,
-            "dispatches": self.dispatches,
-            "batched_obligations": self.batched_obligations,
-            "coalesced": self.coalesced,
-            "shared_dispatches": self.shared_dispatches,
-            "max_batch": self.max_batch,
-        }
-
-
-class _Work:
-    """One obligation waiting for a verdict."""
-
-    __slots__ = ("job_id", "owner", "obligation", "key", "config", "spec",
-                 "backend", "timeout_s", "future")
-
-    def __init__(self, job_id, owner, obligation, key, config, spec,
-                 backend, timeout_s):
-        self.job_id = job_id
-        self.owner = owner
-        self.obligation = obligation
-        self.key = key
-        self.config = config
-        self.spec = spec
-        self.backend = backend
-        self.timeout_s = timeout_s
-        self.future: "Future[ObligationResult]" = Future()
-
-
-class ObligationBroker:
-    """Batch obligations from concurrent jobs into shared pool dispatches.
-
-    ``batch_window_s`` is the collection window: once work arrives, the
-    dispatcher waits this long for more before dispatching, so obligations
-    from near-simultaneous requests land in one batch.  ``jobs`` is the
-    process-pool width shared by every dispatch."""
-
-    def __init__(self, *, jobs: int = 1, batch_window_s: float = 0.05) -> None:
-        self.jobs = max(1, int(jobs))
-        self.batch_window_s = max(0.0, float(batch_window_s))
-        self.stats = BrokerStats()
-        self._queue: List[_Work] = []
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._closed = False
-        self._executor = None
-        self._executor_failed = False
-        self._thread = threading.Thread(
-            target=self._run, name="repro-broker", daemon=True
-        )
-        self._thread.start()
-
-    # -- producer side --------------------------------------------------
-
-    def submit(
-        self,
-        job_id: str,
-        owner: str,
-        obligations: Sequence[object],
-        *,
-        config,
-        spec,
-        backend,
-        axiom_digest: str,
-        timeout_s: Optional[float],
-    ) -> List["Future[ObligationResult]"]:
-        """Enqueue obligations; returns one future per obligation, in order."""
-        items = [
-            _Work(job_id, owner, ob, obligation_key(ob, axiom_digest),
-                  config, spec, backend, timeout_s)
-            for ob in obligations
-        ]
-        with self._wakeup:
-            if self._closed:
-                raise RuntimeError("broker is closed")
-            self._queue.extend(items)
-            self.stats.enqueued += len(items)
-            self._wakeup.notify()
-        return [w.future for w in items]
-
-    def close(self) -> None:
-        with self._wakeup:
-            if self._closed:
-                return
-            self._closed = True
-            self._wakeup.notify()
-        self._thread.join(timeout=10.0)
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
-    # -- dispatcher side ------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            with self._wakeup:
-                while not self._queue and not self._closed:
-                    self._wakeup.wait()
-                if self._closed and not self._queue:
-                    return
-            # Batching window: let near-simultaneous submitters catch up
-            # before draining, so their obligations share a dispatch.
-            if self.batch_window_s > 0:
-                time.sleep(self.batch_window_s)
-            with self._wakeup:
-                batch, self._queue = self._queue, []
-            if batch:
-                try:
-                    self._dispatch_batch(batch)
-                except BaseException as exc:  # never kill the dispatcher
-                    for work in batch:
-                        if not work.future.done():
-                            work.future.set_exception(exc)
-
-    def _dispatch_batch(self, batch: List[_Work]) -> None:
-        # Group by the verdict-relevant identity: prover config fingerprint,
-        # backend spec, owner (the goal-name prefix; kept per-group so a
-        # coalesced dispatch names goals exactly as a solo run would), and
-        # the hard per-obligation timeout — _discharge applies the lead's
-        # timeout to the whole group, so only same-timeout work may share a
-        # dispatch (a shorter-timeout job must never kill, and thereby flip
-        # to ``unknown``, an obligation another job would have proved).
-        groups: Dict[Tuple[str, object, str, Optional[float]], List[_Work]] = {}
-        for work in batch:
-            key = (
-                config_fingerprint(work.config),
-                work.spec,
-                work.owner,
-                work.timeout_s,
-            )
-            groups.setdefault(key, []).append(work)
-        for group in groups.values():
-            self._dispatch_group(group)
-
-    def _dispatch_group(self, group: List[_Work]) -> None:
-        # In-flight dedup: identical obligations (by content key) from any
-        # number of jobs get one proof search; extra waiters are served the
-        # same verdict rebuilt under their own obligation name.
-        by_key: Dict[str, List[_Work]] = {}
-        unique: List[_Work] = []
-        for work in group:
-            waiters = by_key.setdefault(work.key, [])
-            if not waiters:
-                unique.append(work)
-            waiters.append(work)
-        self.stats.dispatches += 1
-        self.stats.batched_obligations += len(unique)
-        self.stats.coalesced += len(group) - len(unique)
-        self.stats.max_batch = max(self.stats.max_batch, len(unique))
-        if len({w.job_id for w in group}) > 1:
-            self.stats.shared_dispatches += 1
-
-        lead = unique[0]
-        results = self._discharge(lead, [w.obligation for w in unique])
-        for work, result in zip(unique, results):
-            for i, waiter in enumerate(by_key[work.key]):
-                if i == 0:
-                    waiter.future.set_result(result)
-                else:
-                    # Same goal content, different pattern-local name:
-                    # rebuild under the waiter's name (stats stay with the
-                    # run that actually searched; canonical() ignores both).
-                    waiter.future.set_result(ObligationResult(
-                        waiter.obligation.name,
-                        result.proved,
-                        result.elapsed_s,
-                        list(result.context),
-                        cached=result.cached,
-                        backend=result.backend,
-                    ))
-
-    def _ensure_executor(self, lead: _Work):
-        if self._executor is None and not self._executor_failed:
-            from repro.verify.parallel import make_executor
-
-            self._executor = make_executor(lead.config, self.jobs, lead.spec)
-            self._executor_failed = self._executor is None
-        return self._executor
-
-    def _discharge(self, lead: _Work, obligations) -> List[ObligationResult]:
-        if self.jobs > 1 and len(obligations) > 1:
-            executor = self._ensure_executor(lead)
-            if executor is not None:
-                from repro.verify.parallel import discharge_parallel
-
-                return discharge_parallel(
-                    lead.owner,
-                    obligations,
-                    lead.config,
-                    jobs=self.jobs,
-                    hard_timeout_s=lead.timeout_s,
-                    backend_spec=lead.spec,
-                    fallback_backend=lead.backend,
-                    executor=executor,
-                )
-        return [lead.backend.discharge(lead.owner, ob) for ob in obligations]
-
-
-class ServiceChecker(SoundnessChecker):
-    """A checker whose pool is the daemon's shared broker.
-
-    One is built per job (a fresh ``_analysis_cache`` keeps per-job report
-    assembly deterministic) over the *shared* proof cache and broker."""
-
-    def __init__(self, *args, broker: ObligationBroker,
-                 job_id: str, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._broker = broker
-        self._job_id = job_id
-        from repro.prover.backends.base import worker_spec
-
-        self._worker_spec = worker_spec(self.backend)
-
-    def _dispatch(self, name, obligations):
-        futures = self._broker.submit(
-            self._job_id,
-            name,
-            obligations,
-            config=self.config,
-            spec=self._worker_spec,
-            backend=self.backend,
-            axiom_digest=self._axiom_digest,
-            timeout_s=self.obligation_timeout_s,
-        )
-        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +262,7 @@ class ServiceStats:
 
 
 class VerificationService:
-    """The daemon's engine room: a job queue over shared cache + broker.
+    """The daemon's engine room: a job queue over a shared cache and pool.
 
     ``options`` is the operator's base :class:`VerifyOptions` — its
     backend/solver/cache configuration applies to every job; its ``jobs``
@@ -534,16 +278,15 @@ class VerificationService:
         options: Optional[VerifyOptions] = None,
         *,
         max_concurrent_jobs: int = 8,
-        batch_window_s: float = 0.05,
         max_jobs_kept: int = 256,
         max_live_jobs: Optional[int] = None,
     ) -> None:
         self.options = options or VerifyOptions()
         self.stats = ServiceStats()
-        # One proof cache shared by every job's checker: L0 dedups across
-        # requests in-process, L1/L2 exactly as a local checker would.
-        # Always at least a memory L0 — the daemon's whole point is not
-        # re-proving what another request proved.
+        # One proof cache shared by every job's checker: L0 and its claims
+        # dedupe across requests in-process, L1/L2 exactly as a local
+        # checker would.  Always at least a memory L0 — the daemon's whole
+        # point is not re-proving what another request proved.
         remote = None
         if self.options.cache_url:
             from repro.verify.netcache import CacheClient
@@ -554,9 +297,9 @@ class VerificationService:
         self.cache: ProofCache = ProofCache(
             self.options.cache_dir, remote=remote
         )
-        self.broker = ObligationBroker(
-            jobs=self.options.jobs, batch_window_s=batch_window_s
-        )
+        self._pool = None
+        self._pool_failed = False
+        self._pool_lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
         self._max_jobs_kept = max_jobs_kept
@@ -619,16 +362,27 @@ class VerificationService:
 
     # -- execution -------------------------------------------------------
 
+    def _shared_pool(self, config, spec):
+        """The process pool every job's checker fans out into, built on the
+        first call; workers re-initialize themselves for a task with
+        another config or backend spec, so one pool serves every job."""
+        with self._pool_lock:
+            if self._pool is None and not self._pool_failed:
+                from repro.verify.parallel import make_executor
+
+                self._pool = make_executor(config, self.options.jobs, spec)
+                self._pool_failed = self._pool is None
+            return self._pool
+
     def _run_job(self, job: Job, options, analyses, optimizations) -> None:
         from repro.api import verify_suite
 
         job.start()
         try:
-            checker = ServiceChecker(
+            checker = SoundnessChecker(
                 options=options,
                 proof_cache=self.cache,
-                broker=self.broker,
-                job_id=job.id,
+                pool=self._shared_pool,
             )
 
             def progress(report) -> None:
@@ -655,16 +409,7 @@ class VerificationService:
     # -- observability ---------------------------------------------------
 
     def stats_wire(self) -> dict:
-        cache_stats = {}
-        if self.cache is not None:
-            cs = self.cache.stats
-            cache_stats = {
-                "hits": cs.hits,
-                "misses": cs.misses,
-                "stores": cs.stores,
-                "remote_hits": getattr(cs, "remote_hits", 0),
-                "entries": len(self.cache),
-            }
+        cs = self.cache.stats
         with self._jobs_lock:
             jobs = {
                 "submitted": self.stats.jobs_submitted,
@@ -677,8 +422,21 @@ class VerificationService:
         return {
             "backend": self.options.backend,
             "jobs": jobs,
-            "broker": self.broker.stats.to_wire(),
-            "cache": cache_stats,
+            # The proof searches behind the jobs (the key name predates
+            # single flight): misses that entered a claim, the batches
+            # dispatched to the prover, and misses another job answered.
+            "broker": {
+                "enqueued": cs.claims + cs.coalesced,
+                "dispatches": cs.claim_batches,
+                "coalesced": cs.coalesced,
+            },
+            "cache": {
+                "hits": cs.hits,
+                "misses": cs.misses,
+                "stores": cs.stores,
+                "remote_hits": cs.remote_hits,
+                "entries": len(self.cache),
+            },
         }
 
     # -- lifecycle -------------------------------------------------------
@@ -687,9 +445,10 @@ class VerificationService:
         """Stop accepting jobs, finish running ones, release the pool."""
         self._closed = True
         self._runner.shutdown(wait=True)
-        self.broker.close()
-        if self.cache is not None:
-            try:
-                self.cache.save()
-            except Exception:
-                pass
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+        try:
+            self.cache.save()
+        except Exception:
+            pass

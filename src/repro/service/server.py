@@ -5,7 +5,7 @@ HTTP/1.1 over :func:`asyncio.start_server` for the service's routes:
 
 ================================== =========================================
 ``GET /v1/healthz``                liveness probe
-``GET /v1/stats``                  broker/cache/job/rate-limit counters
+``GET /v1/stats``                  search/cache/job/rate-limit counters
 ``POST /v1/jobs``                  submit a ``job_request`` envelope (rate
                                    limited); ``"wait": true`` blocks for the
                                    final report
@@ -115,7 +115,6 @@ class ServiceServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_concurrent_jobs: int = 8,
-        batch_window_s: float = 0.05,
         rate: float = 10.0,
         burst: float = 20.0,
         max_body_bytes: int = DEFAULT_MAX_BODY,
@@ -129,7 +128,6 @@ class ServiceServer:
         self.service = service or VerificationService(
             options,
             max_concurrent_jobs=max_concurrent_jobs,
-            batch_window_s=batch_window_s,
         )
         self.limiter = limiter if limiter is not None else RateLimiter(rate, burst)
         # The L2 proof cache this daemon serves: its own --cache-dir store.
@@ -549,7 +547,6 @@ def run_server(
     host: str = "127.0.0.1",
     port: int = 8421,
     max_concurrent_jobs: int = 8,
-    batch_window_s: float = 0.05,
     rate: float = 10.0,
     burst: float = 20.0,
     ready=None,
@@ -563,7 +560,6 @@ def run_server(
         host=host,
         port=port,
         max_concurrent_jobs=max_concurrent_jobs,
-        batch_window_s=batch_window_s,
         rate=rate,
         burst=burst,
     )

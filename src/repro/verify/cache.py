@@ -20,8 +20,7 @@ Two subtleties:
 
 The store behind the verdicts is tiered (docs/CACHING.md):
 
-* **L0** — a per-process in-memory map.  Every lookup lands here first;
-  pool workers keep their own (:mod:`repro.verify.parallel`).
+* **L0** — a per-process in-memory map.  Every lookup lands here first.
 * **L1** — a sharded on-disk CAS (:mod:`repro.verify.cas`):
   ``objects/<key[:2]>/<key>.json``, one atomically-written file per
   verdict, so concurrent runs sharing a ``--cache-dir`` compose with
@@ -38,7 +37,9 @@ Replay scoping (:meth:`CachedVerdict.replayable_for`) is enforced at
 lookup time in :meth:`ProofCache.get`, *after* tier resolution — so a
 verdict is judged by the same rules whether it came from memory, disk, or
 the network.  Corrupted files and foreign bytes are treated as absent,
-never fatal: a crashed run can never poison later ones.
+never fatal: a crashed run can never poison later ones.  Checkers sharing
+one cache prove each missed key once (single-flight claims, see
+:class:`ProofCache`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.prover import ProverConfig
 from repro.verify.cas import ShardedStore
@@ -83,10 +84,7 @@ def config_fingerprint(
 ) -> str:
     """The resource-limit identity of a prover configuration.
 
-    Only limits that can turn ``proved`` into ``unknown`` participate; the
-    split-priority heuristic affects search order, not reachability of a
-    refutation within the limits, but is conservatively excluded from the
-    fingerprint only when it is the default.
+    Only limits that can turn ``proved`` into ``unknown`` participate.
 
     ``hard_timeout_s`` is the caller's per-obligation wall-clock limit
     (``VerifyOptions.obligation_timeout_s``) when one is set: a hard
@@ -100,8 +98,6 @@ def config_fingerprint(
         f"decisions={config.max_decisions}",
         f"timeout={config.timeout_s!r}",
     ]
-    if config.split_priority is not None:
-        parts.append(f"split={getattr(config.split_priority, '__qualname__', repr(config.split_priority))}")
     if hard_timeout_s is not None:
         parts.append(f"hard_timeout={float(hard_timeout_s)!r}")
     return ";".join(parts)
@@ -345,6 +341,15 @@ class CacheStats:
     #: (an ``unknown`` under different limits, or a foreign solver's proof)
     stale: int = 0
     stores: int = 0
+    #: verdicts pulled from the network tier (L2) by :meth:`ProofCache.prefetch`
+    remote_hits: int = 0
+    #: missed keys claimed for a proof search (single flight)
+    claims: int = 0
+    #: :meth:`ProofCache.claim` calls that won at least one key; each is one
+    #: dispatch of its keys to the prover
+    claim_batches: int = 0
+    #: misses answered by another checker's search after waiting on its claim
+    coalesced: int = 0
 
     def __str__(self) -> str:
         return (f"{self.hits} hit(s), {self.misses} miss(es), "
@@ -364,10 +369,27 @@ class ProofCache:
     is swallowed — the cache accelerates, it never gates.
 
     Instances are thread-safe: the service daemon shares one cache across
-    concurrent job threads and the batching broker, so every public
-    operation takes the instance lock (an ``RLock`` — the internal
-    ``_lookup`` nesting stays re-entrant).  Single-threaded callers pay one
-    uncontended acquire per call."""
+    concurrent job threads, so every public operation takes the instance
+    lock (an ``RLock`` — the internal ``_lookup`` nesting stays
+    re-entrant).  Single-threaded callers pay one uncontended acquire per
+    call.
+
+    Concurrent checkers dedupe their searches through claims (single
+    flight), scoped by ``(key, config_fp, backend)`` — the identity a
+    verdict is replayed under:
+
+    * :meth:`claim` splits missed keys into the caller's (it must prove
+      them) and those another checker is already proving;
+    * :meth:`settle` waits for the latter claims, then re-runs :meth:`get`,
+      so a waiter gets the same replay scoping (and its own obligation
+      names) as any cache hit; keys still unanswered — the claimant failed,
+      or its verdict does not replay here — are the waiter's to claim;
+    * :meth:`put` releases the claim it answers, and :meth:`release` (a
+      ``finally`` on the caller's error path) every claim left.
+
+    A claim only saves work: releasing one early can cost a second search,
+    never a wrong verdict, because every answer still goes through
+    :meth:`get`."""
 
     def __init__(self, path: Union[str, os.PathLike, None] = None, *,
                  remote: Optional[object] = None) -> None:
@@ -385,6 +407,8 @@ class ProofCache:
         self._fetched: Set[str] = set()  # pulled from L2, pending L1 write
         self._unpublished: Set[str] = set()  # proofs pending L2 publication
         self._remote_seen: Set[str] = set()  # keys already asked of L2
+        #: open claims: scope (key, config_fp, backend) -> set on release
+        self._claims: Dict[Tuple[str, str, str], threading.Event] = {}
         if path is not None:
             self._store = ShardedStore(check_cache_dir(path), SCHEMA_VERSION)
 
@@ -512,6 +536,7 @@ class ProofCache:
                     self._entries[key] = entry
                     self._fetched.add(key)  # read-through: persist on save
                     pulled += 1
+                self.stats.remote_hits += pulled
             return pulled
 
     def _prefetch_missing(self, keys: Sequence[str]) -> List[str]:
@@ -555,6 +580,7 @@ class ProofCache:
             backend=backend,
         )
         with self._lock:
+            self._release((key, config_fp, backend))
             existing = self._lookup(key)
             if existing is not None and existing.same_payload(entry):
                 # Identical verdict already stored: re-writing it would churn
@@ -566,6 +592,71 @@ class ProofCache:
             self.stats.stores += 1
             if proved and self.remote is not None:
                 self._unpublished.add(key)
+
+    # -- single flight -------------------------------------------------------
+
+    def claim(
+        self, keys: Sequence[str], config_fp: str, backend: str = "internal"
+    ) -> Tuple[List[str], List[str]]:
+        """Split missed ``keys`` into ``(mine, theirs)`` under one scope.
+
+        ``mine`` are now claimed by the caller, which must :meth:`put` or
+        :meth:`release` each.  ``theirs`` are claimed by another checker,
+        or were answered since the caller's :meth:`get`; pass them to
+        :meth:`settle`.  The replay check runs under the same lock as
+        :meth:`put`, so no verdict can land between a miss and a claim."""
+        mine: List[str] = []
+        theirs: List[str] = []
+        with self._lock:
+            for key in keys:
+                scope = (key, config_fp, backend)
+                entry = self._lookup(key)
+                if scope in self._claims or (
+                    entry is not None and entry.replayable_for(config_fp, backend)
+                ):
+                    theirs.append(key)
+                else:
+                    self._claims[scope] = threading.Event()
+                    mine.append(key)
+            self.stats.claims += len(mine)
+            if mine:
+                self.stats.claim_batches += 1
+        return mine, theirs
+
+    def settle(
+        self, keys: Sequence[str], config_fp: str, backend: str = "internal"
+    ) -> Dict[str, CachedVerdict]:
+        """Wait out other checkers' claims on ``keys``, then :meth:`get`.
+
+        Returns the keys that now replay; the rest are the caller's to
+        claim again.  Callers hold no claims of their own while they wait,
+        so waiting can never deadlock."""
+        for key in keys:
+            with self._lock:
+                claim = self._claims.get((key, config_fp, backend))
+            if claim is not None:
+                claim.wait()
+        settled: Dict[str, CachedVerdict] = {}
+        for key in keys:
+            hit = self.get(key, config_fp, backend)
+            if hit is not None:
+                settled[key] = hit
+        with self._lock:
+            self.stats.coalesced += len(settled)
+        return settled
+
+    def release(
+        self, keys: Sequence[str], config_fp: str, backend: str = "internal"
+    ) -> None:
+        """Drop the caller's claims on ``keys`` still open (the error path)."""
+        with self._lock:
+            for key in keys:
+                self._release((key, config_fp, backend))
+
+    def _release(self, scope: Tuple[str, str, str]) -> None:
+        claim = self._claims.pop(scope, None)
+        if claim is not None:
+            claim.set()
 
     def clear(self) -> None:
         with self._lock:

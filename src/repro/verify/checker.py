@@ -19,18 +19,24 @@ design), which the checker exploits two ways:
   content-addressed store (:mod:`repro.verify.cache`), so re-verifying an
   unchanged optimization replays the stored verdicts instead of re-running
   proof search.
+
+Either way each distinct obligation key is proved once per batch, and
+checkers sharing one cache (the service daemon's jobs) prove it once
+between them: a key another checker is already proving is waited for, not
+searched again.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.cobalt.dsl import BackwardPattern, ForwardPattern, Optimization, PureAnalysis
 from repro.cobalt.labels import LabelRegistry, standard_registry
 from repro.prover import Prover, ProverConfig, ProverStats, Result
 from repro.verify.cache import (
+    CachedVerdict,
     ProofCache,
     axioms_digest,
     config_fingerprint,
@@ -234,6 +240,10 @@ class SoundnessChecker:
     :class:`ProofCache` *object* — the seam the service daemon (and the
     cache tests) use to share one verdict store across many checkers;
     path-shaped caches are configured through ``options.cache_dir``.
+    ``pool=`` lends a long-lived process pool for ``jobs > 1``: a callable
+    ``(config, backend_spec)`` returning the executor (or ``None`` when the
+    platform has none), called only when there is work to fan out — the
+    daemon's one pool, built on first use and shared by every job.
 
     (The pre-façade ``cache=``/``jobs=``/``obligation_timeout_s=`` kwargs
     were removed after one release of deprecation; see the migration table
@@ -247,6 +257,7 @@ class SoundnessChecker:
         config: Optional[ProverConfig] = None,
         options: Optional["VerifyOptions"] = None,
         proof_cache: Optional[ProofCache] = None,
+        pool: Optional[Callable[[ProverConfig, object], object]] = None,
     ) -> None:
         from repro.api import VerifyOptions
         from repro.prover.backends.base import resolve_backend
@@ -258,12 +269,7 @@ class SoundnessChecker:
         self.semantic_meanings: Dict[str, PureAnalysis] = {
             a.label_name: a for a in analyses
         }
-        if config is not None:
-            self.config = config
-        elif options.prover != VerifyOptions().prover:
-            self.config = options.prover_config()
-        else:
-            self.config = ProverConfig(timeout_s=300.0)
+        self.config = config if config is not None else options.prover_config()
         axioms = all_axioms()
         self._prover = Prover(
             axioms, constructors=CONSTRUCTORS, config=self.config
@@ -291,6 +297,7 @@ class SoundnessChecker:
             cache.remote = remote
         self.cache: Optional[ProofCache] = cache
         self.jobs = max(1, int(options.jobs))
+        self._pool = pool
         #: hard per-obligation wall-clock limit for parallel workers (the
         #: prover's own cooperative timeout still applies everywhere).
         self.obligation_timeout_s = options.obligation_timeout_s
@@ -318,51 +325,76 @@ class SoundnessChecker:
         return ObligationBuilder(self.registry, self.semantic_meanings)
 
     def _discharge(self, name: str, obligations: Sequence[Obligation]) -> SoundnessReport:
-        report = SoundnessReport(name)
-        results: List[Optional[ObligationResult]] = [None] * len(obligations)
-        pending: List[Tuple[int, Obligation]] = []
-        keys: List[str] = []
-        if self.cache is not None:
-            keys = [obligation_key(ob, self._axiom_digest) for ob in obligations]
+        keys = [obligation_key(ob, self._axiom_digest) for ob in obligations]
+        # One search per distinct key: the first obligation carrying a key
+        # stands for every later one in the batch.
+        first: Dict[str, int] = {}
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+        verdicts: Dict[str, Union[ObligationResult, CachedVerdict]] = {}
+        cache = self.cache
+        if cache is None:
+            fresh = self._dispatch(name, [obligations[i] for i in first.values()])
+            verdicts.update(zip(first, fresh))
+        else:
             # Read-through: resolve every key L0 -> L1 -> (one batched
             # multi-GET to) L2 before the obligation loop.  After a
             # suite-wide prefetch this finds everything local and costs no
             # network at all.
-            self.cache.prefetch(keys)
-        for i, ob in enumerate(obligations):
-            if self.cache is not None:
-                hit = self.cache.get(keys[i], self._config_fp, self._backend_id)
-                if hit is not None:
-                    results[i] = ObligationResult(
-                        ob.name,
-                        hit.proved,
-                        0.0,
-                        list(hit.context),
-                        cached=True,
-                        backend=hit.backend,
-                    )
-                    continue
-            pending.append((i, ob))
-
-        if pending:
-            fresh = self._dispatch(name, [ob for _, ob in pending])
-            for (i, ob), result in zip(pending, fresh):
-                results[i] = result
-                if self.cache is not None:
-                    self.cache.put(
-                        keys[i],
-                        proved=result.proved,
-                        elapsed_s=result.elapsed_s,
-                        context=result.context,
-                        config_fp=self._config_fp,
-                        backend=result.backend if result.proved else self._backend_id,
-                    )
-        if self.cache is not None:
+            cache.prefetch(list(first))
+            missed = []
+            for key in first:
+                hit = cache.get(key, self._config_fp, self._backend_id)
+                if hit is None:
+                    missed.append(key)
+                else:
+                    verdicts[key] = hit
+            while missed:
+                # Prove our own claims (and release them) before waiting
+                # on anyone else's, so no two checkers can wait on each
+                # other.
+                mine, theirs = cache.claim(missed, self._config_fp, self._backend_id)
+                try:
+                    fresh = self._dispatch(name, [obligations[first[k]] for k in mine])
+                    for key, result in zip(mine, fresh):
+                        verdicts[key] = result
+                        cache.put(
+                            key,
+                            proved=result.proved,
+                            elapsed_s=result.elapsed_s,
+                            context=result.context,
+                            config_fp=self._config_fp,
+                            backend=result.backend if result.proved else self._backend_id,
+                        )
+                finally:
+                    cache.release(mine, self._config_fp, self._backend_id)
+                settled = cache.settle(theirs, self._config_fp, self._backend_id)
+                verdicts.update(settled)
+                missed = [key for key in theirs if key not in settled]
             # Persist fresh verdicts (and L2 pulls) to L1, and publish new
             # proofs write-behind; a fully warm pattern is a no-op.
-            self.cache.save()
+            cache.save()
 
-        report.results = [r for r in results if r is not None]
+        report = SoundnessReport(name)
+        for i, (ob, key) in enumerate(zip(obligations, keys)):
+            verdict = verdicts[key]
+            if isinstance(verdict, CachedVerdict):
+                report.results.append(ObligationResult(
+                    ob.name,
+                    verdict.proved,
+                    0.0,
+                    list(verdict.context),
+                    cached=True,
+                    backend=verdict.backend,
+                ))
+            elif first[key] == i:
+                report.results.append(verdict)
+            else:
+                # Same goal content under another name: no search ran for it.
+                report.results.append(replace(
+                    verdict, obligation=ob.name, elapsed_s=0.0,
+                    context=list(verdict.context), stats=None,
+                ))
         return report
 
     def _dispatch(
@@ -370,27 +402,28 @@ class SoundnessChecker:
     ) -> List[ObligationResult]:
         """Discharge cache-missed obligations; results in obligation order.
 
-        This is the checker's dispatch seam: the default routes through the
-        process pool (``jobs > 1``) or the in-process backend, and the
-        service daemon's checker overrides it to hand obligations to the
-        cross-request batching broker (:mod:`repro.service.jobs`).  Every
-        implementation must be order-preserving and verdict-deterministic
-        so reports stay byte-identical however obligations are routed."""
+        Routes through the process pool (``jobs > 1``: the lent ``pool`` or
+        one built for this call) or the in-process backend, one search at a
+        time.  Subclasses overriding it (tests) must stay order-preserving
+        and verdict-deterministic so reports stay byte-identical."""
+        from repro.verify.parallel import discharge_in_process
+
         if self.jobs > 1 and len(obligations) > 1:
             from repro.prover.backends.base import worker_spec
             from repro.verify.parallel import discharge_parallel
 
+            spec = worker_spec(self.backend)
             return discharge_parallel(
                 name,
                 obligations,
                 self.config,
                 jobs=self.jobs,
                 hard_timeout_s=self.obligation_timeout_s,
-                fallback_prover=self._prover,
-                backend_spec=worker_spec(self.backend),
+                backend_spec=spec,
                 fallback_backend=self.backend,
+                executor=self._pool(self.config, spec) if self._pool else None,
             )
-        return [self.backend.discharge(name, ob) for ob in obligations]
+        return discharge_in_process(self.backend, name, obligations)
 
     # ------------------------------------------------------------------
 

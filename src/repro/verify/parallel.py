@@ -19,18 +19,21 @@ embarrassingly parallel at obligation granularity.  This module provides
   all (no ``fork``/``spawn`` support, pickling failure) or when individual
   tasks fail to round-trip, so callers never observe an exception where a
   verdict is expected.
+
+In-process discharge (:func:`discharge_in_process`, also the checker's
+``jobs=1`` path) runs one search at a time per process.
 """
 
 from __future__ import annotations
 
 import atexit
 import pickle
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from typing import List, Optional, Sequence, Tuple
 
-from repro.prover import Prover, ProverConfig
-from repro.prover.backends.base import build_internal_prover
+from repro.prover import ProverConfig
 
 #: Worker-process backend, built once per worker by the pool initializer and
 #: reused for every obligation the worker discharges.  Workers *own* their
@@ -43,25 +46,20 @@ _WORKER_BACKEND = None
 _WORKER_KEY: Optional[Tuple[str, object]] = None
 _WORKER_CLEANUP_REGISTERED = False
 
-#: Per-worker L0 cache (an in-memory :class:`repro.verify.cache.ProofCache`)
-#: keyed by obligation content hash.  Duplicate obligations landing on the
-#: same worker — identical goals minted by different patterns, fuzzing
-#: campaigns re-proving shared skeletons — replay instead of re-searching.
-#: Replay scoping is the same :meth:`CachedVerdict.replayable_for` rule the
-#: persistent tiers enforce, so a worker can never replay a verdict the
-#: parent's cache would have rejected.
-_WORKER_L0 = None
-_WORKER_DIGEST: Optional[str] = None
+#: One in-process proof search at a time.  ``Prover.run`` toggles the
+#: process-wide gc, and its cooperative timeouts must not race GIL
+#: contention from a concurrent search (two daemon jobs at ``--jobs 1``).
+_SEARCH_LOCK = threading.Lock()
 
 
-def _worker_axiom_digest() -> str:
-    global _WORKER_DIGEST
-    if _WORKER_DIGEST is None:
-        from repro.verify.cache import axioms_digest
-        from repro.verify.encode import CONSTRUCTORS, all_axioms
-
-        _WORKER_DIGEST = axioms_digest(all_axioms(), CONSTRUCTORS)
-    return _WORKER_DIGEST
+def discharge_in_process(backend, owner: str, obligations: Sequence[object]):
+    """Discharge ``obligations`` with ``backend`` in this process, in order,
+    one search at a time across every thread."""
+    results = []
+    for obligation in obligations:
+        with _SEARCH_LOCK:
+            results.append(backend.discharge(owner, obligation))
+    return results
 
 
 def _config_fp(config: ProverConfig) -> str:
@@ -82,9 +80,8 @@ def _worker_close() -> None:
 
 
 def _worker_init(config: ProverConfig, spec=None) -> None:
-    global _WORKER_BACKEND, _WORKER_KEY, _WORKER_CLEANUP_REGISTERED, _WORKER_L0
+    global _WORKER_BACKEND, _WORKER_KEY, _WORKER_CLEANUP_REGISTERED
     from repro.prover.backends.base import BackendSpec, resolve_backend
-    from repro.verify.cache import ProofCache
 
     _worker_close()  # a re-init replaces (and releases) the old backend
     # The key holds the spec *as tasks carry it* (possibly None), so the
@@ -94,11 +91,6 @@ def _worker_init(config: ProverConfig, spec=None) -> None:
     # quiet=True: solver discovery (and any missing-solver warning) already
     # happened in the parent — worker specs carry the resolved command.
     _WORKER_BACKEND = resolve_backend(spec or BackendSpec(), config, quiet=True)
-    if _WORKER_L0 is None:
-        # One L0 per worker *process*, surviving backend/config re-inits:
-        # entries are scoped by config and backend identity at replay time,
-        # so keeping them across a reconfigure is safe by construction.
-        _WORKER_L0 = ProofCache(None)
     if not _WORKER_CLEANUP_REGISTERED:
         # Pool workers exit normally on executor shutdown, so atexit is the
         # teardown hook: warm solver sessions never outlive the pool.
@@ -107,37 +99,11 @@ def _worker_init(config: ProverConfig, spec=None) -> None:
 
 
 def _worker_discharge(task: Tuple[int, str, object, ProverConfig, object]):
-    """Discharge one obligation in a worker process (L0-cached)."""
-    global _WORKER_BACKEND, _WORKER_KEY
-    from repro.verify.cache import obligation_key
-    from repro.verify.checker import ObligationResult
-
+    """Discharge one obligation in a worker process."""
     index, owner, obligation, config, spec = task
     if _WORKER_BACKEND is None or _WORKER_KEY != (_config_fp(config), spec):
         _worker_init(config, spec)
-    config_fp = _config_fp(config)
-    backend_id = _WORKER_BACKEND.identity()
-    key = obligation_key(obligation, _worker_axiom_digest())
-    hit = _WORKER_L0.get(key, config_fp, backend_id)
-    if hit is not None:
-        return index, ObligationResult(
-            obligation.name,
-            hit.proved,
-            0.0,
-            list(hit.context),
-            cached=True,
-            backend=hit.backend,
-        )
-    result = _WORKER_BACKEND.discharge(owner, obligation)
-    _WORKER_L0.put(
-        key,
-        proved=result.proved,
-        elapsed_s=result.elapsed_s,
-        context=result.context,
-        config_fp=config_fp,
-        backend=result.backend if result.proved else backend_id,
-    )
-    return index, result
+    return index, _WORKER_BACKEND.discharge(owner, obligation)
 
 
 def make_executor(
@@ -146,7 +112,7 @@ def make_executor(
     """A long-lived worker pool for callers that dispatch many batches.
 
     The service daemon keeps one of these across its whole lifetime and
-    passes it to every :func:`discharge_parallel` call, so worker processes
+    lends it to every job's checker, so worker processes
     (and their warm provers/solver sessions) are reused across requests
     instead of being respawned per batch.  Workers re-initialize themselves
     when a task arrives with a different config/backend spec (the
@@ -180,7 +146,6 @@ def discharge_parallel(
     *,
     jobs: int,
     hard_timeout_s: Optional[float] = None,
-    fallback_prover: Optional[Prover] = None,
     backend_spec=None,
     fallback_backend=None,
     executor: Optional[ProcessPoolExecutor] = None,
@@ -191,8 +156,8 @@ def discharge_parallel(
     ``backend_spec`` (a picklable :class:`repro.prover.backends.BackendSpec`,
     default internal) tells each worker which backend to build; the parent
     should pass :func:`repro.prover.backends.worker_spec` so the resolved
-    solver command travels with the task.  ``fallback_backend`` (default: an
-    internal prover over ``fallback_prover``) handles in-process fallback.
+    solver command travels with the task.  ``fallback_backend`` (default: a
+    fresh internal backend) handles in-process fallback.
 
     ``executor`` lends a long-lived pool (see :func:`make_executor`): the
     call submits into it and leaves it running — the caller owns teardown.
@@ -201,24 +166,20 @@ def discharge_parallel(
     ``_worker`` is a test seam: a replacement for the worker entry point
     (it must be a picklable top-level callable with the same contract).
     """
-    from repro.verify.checker import ObligationResult, discharge_obligation
+    from repro.prover.backends.internal import InternalBackend
+    from repro.verify.checker import ObligationResult
 
     worker = _worker or _worker_discharge
     timeout = _hard_timeout(config, hard_timeout_s)
     results: List[Optional[ObligationResult]] = [None] * len(obligations)
-
-    def serial(index: int, obligation) -> ObligationResult:
-        if fallback_backend is not None:
-            return fallback_backend.discharge(owner, obligation)
-        prover = fallback_prover or build_internal_prover(config)
-        return discharge_obligation(prover, owner, obligation, config)
+    fallback = fallback_backend or InternalBackend(config)
 
     # A task set that cannot be pickled cannot cross a process boundary at
     # all — discharge everything serially in this process.
     try:
         pickle.dumps((owner, list(obligations), config, backend_spec))
     except Exception:
-        return [serial(i, ob) for i, ob in enumerate(obligations)]
+        return discharge_in_process(fallback, owner, obligations)
 
     owns_executor = executor is None
     if owns_executor:
@@ -226,7 +187,7 @@ def discharge_parallel(
             config, min(jobs, len(obligations)), backend_spec
         )
         if executor is None:
-            return [serial(i, ob) for i, ob in enumerate(obligations)]
+            return discharge_in_process(fallback, owner, obligations)
 
     timed_out = False
     try:
@@ -253,7 +214,7 @@ def discharge_parallel(
             except Exception:
                 # Broken pool, a result that would not unpickle, a worker
                 # killed by the OS: redo this obligation in-process.
-                results[i] = serial(i, ob)
+                results[i] = discharge_in_process(fallback, owner, [ob])[0]
     finally:
         if owns_executor:
             executor.shutdown(wait=not timed_out, cancel_futures=True)

@@ -60,7 +60,7 @@ def _priority(search, candidate, clause, kind):
         return 2
     if "nosplit" in clause.origin or kind:
         return -1
-    return (search.cfg.split_priority or core.default_split_priority)(candidate, clause)
+    return core.default_split_priority(candidate, clause)
 
 
 def _checked(search):

@@ -288,13 +288,15 @@ class TestRetiredProverFlag:
             ["--prover-mode", "incremental", "verify"],
             ["opt", "prog.il", "--passes", "constProp", "--engine", "worklist"],
             ["--backend", "smtlib", "--solver-session", "verify"],
+            ["serve", "--batch-window", "1"],
         ],
-        ids=["kernel", "prover-mode", "engine", "solver-session"],
+        ids=["kernel", "prover-mode", "engine", "solver-session",
+             "batch-window"],
     )
     def test_removed_switches_are_argparse_errors(self, argv, capsys):
-        """The kernel, prover-mode, engine and solver-session switches are
-        gone: using one is a usage error (exit 2), never a silently ignored
-        flag."""
+        """The kernel, prover-mode, engine, solver-session and batch-window
+        switches are gone: using one is a usage error (exit 2), never a
+        silently ignored flag."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -9,6 +9,7 @@ the per-obligation hard timeout as ``unknown`` instead of hanging the run.
 
 import copy
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.verify import SoundnessChecker
 from repro.verify.checker import discharge_obligation
 from repro.verify.obligations import Obligation, ObligationBuilder
 from repro.prover.backends import build_internal_prover
+from repro.prover.backends.internal import InternalBackend
 from repro.verify.parallel import discharge_parallel
 from repro.opts import (
     branch_fold,
@@ -161,7 +163,8 @@ class TestFallbacks:
         object.__setattr__(bad, "hook", lambda: None)  # poisons pickling
         prover = build_internal_prover(FAST)
         results = discharge_parallel(
-            "constFold", [bad], FAST, jobs=2, fallback_prover=prover
+            "constFold", [bad], FAST, jobs=2,
+            fallback_backend=InternalBackend(FAST, prover=prover),
         )
         expected = discharge_obligation(prover, "constFold", obligations[0], FAST)
         assert len(results) == 1
@@ -179,16 +182,27 @@ class TestFallbacks:
         assert checker.check_optimization(const_fold).sound
 
 
-class TestWorkerL0Cache:
-    def test_duplicate_obligations_replay_from_worker_memory(self):
-        # A single worker (jobs=1 pool still has one real worker process)
-        # sees the same obligation three times; the second and third must
-        # replay from the worker's in-memory L0 with identical verdicts.
+class TestBatchDedupe:
+    def test_duplicate_obligations_proved_once(self):
+        # One batch, no cache configured, the same goal under three names:
+        # the checker searches it once and answers all three, in order,
+        # under their own names.
         ob = ObligationBuilder(standard_registry()).forward_obligations(
             const_fold.pattern
         )[0]
-        results = discharge_parallel("constFold", [ob, ob, ob], FAST, jobs=1)
-        assert [r.proved for r in results] == [True, True, True]
-        assert not results[0].cached
-        assert results[1].cached and results[2].cached
-        assert {r.obligation for r in results} == {ob.name}
+        batch = [replace(ob, name=name) for name in ("X", "Y", "Z")]
+        checker = SoundnessChecker(config=FAST)
+        dispatched = []
+        dispatch = checker._dispatch
+
+        def recording(name, obligations):
+            dispatched.append([o.name for o in obligations])
+            return dispatch(name, obligations)
+
+        checker._dispatch = recording
+        report = checker._discharge("constFold", batch)
+        assert dispatched == [["X"]]
+        assert [r.obligation for r in report.results] == ["X", "Y", "Z"]
+        assert [r.proved for r in report.results] == [True, True, True]
+        assert report.results[0].stats is not None
+        assert report.results[1].stats is None and report.results[2].stats is None

@@ -69,12 +69,13 @@ class TestRoundTrip:
         report_cold = cold.check_optimization(const_fold)
         assert report_cold.sound
         assert cold.cache.stats.hits == 0
-        # One content-addressed object per *distinct* verdict (constFold's
-        # F2/F3 share a goal, hence a key — the identical re-put is
-        # skipped), sharded by key prefix.
+        # One lookup, one search and one content-addressed object per
+        # *distinct* verdict (two of constFold's obligations share a goal,
+        # hence a key), sharded by key prefix.
         digest = axioms_digest(all_axioms(), CONSTRUCTORS)
         distinct = {obligation_key(ob, digest)
                     for ob in _obligations(const_fold.pattern)}
+        assert cold.cache.stats.misses == len(distinct)
         assert cold.cache.stats.stores == len(distinct)
         objects = tmp_path / "objects"
         assert objects.is_dir()
@@ -88,7 +89,7 @@ class TestRoundTrip:
         report_warm = warm.check_optimization(const_fold)
         assert report_warm.sound
         assert warm.cache.stats.misses == 0
-        assert warm.cache.stats.hits == len(report_warm.results)
+        assert warm.cache.stats.hits == len(distinct)
         assert all(r.cached for r in report_warm.results)
         # Same verdicts, same canonical report, near-zero replay time.
         assert report_warm.canonical() == report_cold.canonical()
@@ -215,6 +216,48 @@ class TestConfigScoping:
             config=FAST, options=VerifyOptions(obligation_timeout_s=0.5)
         )
         assert default._config_fp != limited._config_fp
+
+    def test_default_checker_fingerprint_unchanged(self):
+        # Stored verdicts are scoped by this string: the default checker
+        # must keep producing it, or every existing store goes stale.
+        assert config_fingerprint(SoundnessChecker().config) == (
+            "rounds=12;instances=20000;decisions=200000;timeout=300.0"
+        )
+
+
+class TestClaims:
+    """Single flight: the first checker to miss a scoped key claims it."""
+
+    def test_second_claim_under_same_scope_is_theirs(self):
+        cache = ProofCache(None)
+        assert cache.claim(["k1", "k2"], "fp") == (["k1", "k2"], [])
+        assert cache.claim(["k2", "k3"], "fp") == (["k3"], ["k2"])
+        # another config or backend is another scope
+        assert cache.claim(["k1"], "other") == (["k1"], [])
+        assert cache.claim(["k1"], "fp", "smtlib") == (["k1"], [])
+        assert (cache.stats.claims, cache.stats.claim_batches) == (5, 4)
+
+    def test_put_settles_the_claim(self):
+        cache = ProofCache(None)
+        cache.claim(["k"], "fp")
+        cache.put("k", proved=True, elapsed_s=0.1, config_fp="fp")
+        assert cache.claim(["k"], "fp") == ([], ["k"])
+        settled = cache.settle(["k"], "fp")
+        assert settled["k"].proved
+        assert cache.stats.coalesced == 1
+
+    def test_released_claim_leaves_the_key_to_the_waiter(self):
+        cache = ProofCache(None)
+        cache.claim(["k"], "fp")
+        cache.release(["k"], "fp")
+        assert cache.settle(["k"], "fp") == {}
+        assert cache.claim(["k"], "fp") == (["k"], [])
+        assert cache.stats.coalesced == 0
+
+    def test_unreplayable_verdict_does_not_settle(self):
+        cache = ProofCache(None)
+        cache.put("k", proved=False, elapsed_s=0.1, config_fp="small")
+        assert cache.claim(["k"], "big") == (["k"], [])
 
 
 class TestPrefetchLocking:

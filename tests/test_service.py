@@ -1,8 +1,9 @@
 """The verification daemon (docs/SERVICE.md).
 
 Covers, bottom-up: the rate limiter's deterministic 429 path (injected
-clock), the obligation broker's cross-request batching and in-flight
-dedup, the job queue's validation/rejection paths, and the asyncio HTTP
+clock), single-flight dedupe between checkers sharing one proof cache
+(driven by events and a gated stand-in backend, never by timing), the
+job queue's validation/rejection paths, and the asyncio HTTP
 server end to end — concurrent clients getting byte-identical reports to
 a serial local ``verify_suite``, malformed/oversized bodies answered
 without disturbing the loop, and a client disconnecting mid-stream
@@ -15,16 +16,14 @@ import json
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.api import ProverOptions, VerifyOptions, verify_suite
 from repro.cobalt.labels import standard_registry
-from repro.prover import ProverConfig
-from repro.prover.backends.base import BackendSpec
 from repro.service import (
     Job,
-    ObligationBroker,
     RateLimiter,
     ServiceOverloadedError,
     ServiceServer,
@@ -32,7 +31,8 @@ from repro.service import (
     VerificationService,
 )
 from repro.service.wire import WireError, envelope
-from repro.verify.checker import ObligationResult
+from repro.verify.cache import ProofCache, obligation_key
+from repro.verify.checker import ObligationResult, SoundnessChecker
 from repro.verify.obligations import ObligationBuilder
 
 CONST_PROP = """
@@ -113,119 +113,238 @@ class TestRateLimiter:
 
 
 # ---------------------------------------------------------------------------
-# The obligation broker
+# Single flight: concurrent checkers sharing one proof cache
 # ---------------------------------------------------------------------------
 
 
-class FakeBackend:
-    """Deterministic stand-in backend: records calls, proves everything."""
+class GatedBackend:
+    """A stand-in backend whose searches block until ``gate`` opens
+    (already open unless ``gated``).
 
-    def __init__(self) -> None:
+    Records every call and the most searches ever inside it at once;
+    ``entered`` is set when the first search starts.  Answers ``proved``
+    (or ``unknown``), or raises when ``fail`` is set."""
+
+    def __init__(self, *, gated=True, proved=True, fail=False) -> None:
+        self.gate = threading.Event()
+        if not gated:
+            self.gate.set()
+        self.proved = proved
+        self.fail = fail
+        self.entered = threading.Event()
         self.calls = []
+        self.active = 0
+        self.max_active = 0
         self.lock = threading.Lock()
 
     def discharge(self, owner, obligation):
         with self.lock:
             self.calls.append((owner, obligation.name))
-        return ObligationResult(obligation.name, True, 0.01, [])
+            self.active += 1
+            self.max_active = max(self.max_active, self.active)
+        self.entered.set()
+        try:
+            assert self.gate.wait(60), "gate never opened"
+            if self.fail:
+                raise RuntimeError("search crashed")
+            context = [] if self.proved else ["<unknown>"]
+            return ObligationResult(obligation.name, self.proved, 0.01,
+                                    context, backend=self.identity())
+        finally:
+            with self.lock:
+                self.active -= 1
 
     def identity(self) -> str:
         return "fake"
 
 
-def _obligations():
+class SignallingCache(ProofCache):
+    """A memory cache that reports, per thread name, each claim's outcome
+    and the moment a checker starts waiting on another's claims."""
+
+    def __init__(self, *threads) -> None:
+        super().__init__(None)
+        self.claimed = {name: threading.Event() for name in threads}
+        self.waiting = {name: threading.Event() for name in threads}
+        self.claims_log = []
+
+    def claim(self, keys, config_fp, backend="internal"):
+        mine, theirs = super().claim(keys, config_fp, backend)
+        name = threading.current_thread().name
+        self.claims_log.append((name, list(mine), list(theirs)))
+        self.claimed[name].set()
+        return mine, theirs
+
+    def settle(self, keys, config_fp, backend="internal"):
+        if keys:
+            self.waiting[threading.current_thread().name].set()
+        return super().settle(keys, config_fp, backend)
+
+
+def _obligations(owner="F"):
     from repro.opts import const_fold
 
-    return ObligationBuilder(standard_registry()).forward_obligations(
-        const_fold.pattern
+    return [
+        replace(ob, name=f"{owner}.{ob.name}")
+        for ob in ObligationBuilder(standard_registry()).forward_obligations(
+            const_fold.pattern
+        )
+    ]
+
+
+def _distinct_keys(checker, obligations):
+    return len({obligation_key(ob, checker._axiom_digest) for ob in obligations})
+
+
+def _checker(cache, backend, *, timeout_s=None):
+    checker = SoundnessChecker(
+        options=replace(FAST, obligation_timeout_s=timeout_s),
+        proof_cache=cache,
     )
+    checker.backend = backend
+    checker._backend_id = backend.identity()
+    return checker
 
 
-class TestBroker:
-    def test_results_in_submission_order(self):
-        broker = ObligationBroker(jobs=1, batch_window_s=0.0)
+def _start(name, checker, obligations):
+    """Run one checker's dispatch on its own named thread."""
+    box = {}
+
+    def target():
         try:
-            obs = _obligations()
-            futures = broker.submit(
-                "job-1", "constFold", obs,
-                config=ProverConfig(), spec=BackendSpec(),
-                backend=FakeBackend(), axiom_digest="d", timeout_s=None,
-            )
-            names = [f.result(timeout=10) for f in futures]
-            assert [r.obligation for r in names] == [ob.name for ob in obs]
-        finally:
-            broker.close()
+            box["report"] = checker._discharge(name, obligations)
+        except Exception as exc:  # surfaced by the test
+            box["error"] = exc
 
-    def test_cross_job_dedup_and_shared_dispatch(self):
-        broker = ObligationBroker(jobs=1, batch_window_s=0.3)
-        backend = FakeBackend()
-        try:
-            obs = _obligations()
-            kwargs = dict(
-                config=ProverConfig(), spec=BackendSpec(),
-                backend=backend, axiom_digest="d", timeout_s=None,
-            )
-            futures_a = broker.submit("job-a", "constFold", obs, **kwargs)
-            futures_b = broker.submit("job-b", "constFold", obs, **kwargs)
-            results_a = [f.result(timeout=10) for f in futures_a]
-            results_b = [f.result(timeout=10) for f in futures_b]
-            # Both jobs see the full verdict list under their own names...
-            assert [r.obligation for r in results_a] == [ob.name for ob in obs]
-            assert [r.obligation for r in results_b] == [ob.name for ob in obs]
-            assert all(r.proved for r in results_a + results_b)
-            # ...but the backend ran each distinct obligation only once
-            # (constFold F2/F3 share goal content and thus a key).
-            from repro.verify.cache import obligation_key
+    thread = threading.Thread(target=target, name=name, daemon=True)
+    thread.start()
+    return thread, box
 
-            distinct = len({obligation_key(ob, "d") for ob in obs})
-            assert len(backend.calls) == distinct
-            stats = broker.stats
-            assert stats.dispatches == 1
-            assert stats.shared_dispatches == 1
-            assert stats.coalesced == 2 * len(obs) - distinct
-        finally:
-            broker.close()
 
-    def test_different_timeouts_never_share_a_dispatch(self):
-        # _discharge applies the lead's hard timeout to its whole group, so
-        # only same-timeout work may coalesce: a job under a tiny timeout
-        # must never have another job's obligations killed under it.
-        broker = ObligationBroker(jobs=1, batch_window_s=0.3)
-        backend = FakeBackend()
-        try:
-            obs = _obligations()
-            kwargs = dict(
-                config=ProverConfig(), spec=BackendSpec(),
-                backend=backend, axiom_digest="d",
-            )
-            futures_a = broker.submit(
-                "job-a", "constFold", obs, timeout_s=None, **kwargs
-            )
-            futures_b = broker.submit(
-                "job-b", "constFold", obs, timeout_s=0.001, **kwargs
-            )
-            for f in futures_a + futures_b:
-                assert f.result(timeout=10).proved
-            from repro.verify.cache import obligation_key
+def _overlap(a, obs_a, b, obs_b, *, gated, b_reached):
+    """Start job A and hold it inside its first search (``gated``'s gate),
+    start job B and wait until it reaches ``b_reached``, then open the
+    gate and let both finish.  Returns both jobs' result boxes."""
+    thread_a, box_a = _start("A", a, obs_a)
+    assert gated.entered.wait(60)
+    thread_b, box_b = _start("B", b, obs_b)
+    assert b_reached.wait(60)
+    gated.gate.set()
+    thread_a.join(60)
+    thread_b.join(60)
+    return box_a, box_b
 
-            distinct = len({obligation_key(ob, "d") for ob in obs})
-            stats = broker.stats
-            assert stats.dispatches == 2
-            assert stats.shared_dispatches == 0
-            # each distinct obligation ran once *per timeout group*
-            assert len(backend.calls) == 2 * distinct
-        finally:
-            broker.close()
 
-    def test_closed_broker_refuses_work(self):
-        broker = ObligationBroker(jobs=1, batch_window_s=0.0)
-        broker.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            broker.submit(
-                "job", "x", _obligations(),
-                config=ProverConfig(), spec=BackendSpec(),
-                backend=FakeBackend(), axiom_digest="d", timeout_s=None,
-            )
+class TestSingleFlight:
+    def test_each_scoped_key_is_discharged_once(self):
+        backend = GatedBackend()
+        cache = SignallingCache("A", "B")
+        a, b = _checker(cache, backend), _checker(cache, backend)
+        obs_a, obs_b = _obligations("A"), _obligations("B")
+        # B finds every key claimed by A and waits for A's searches.
+        box_a, box_b = _overlap(a, obs_a, b, obs_b, gated=backend,
+                                b_reached=cache.waiting["B"])
+        assert "error" not in box_a and "error" not in box_b
+        distinct = _distinct_keys(a, obs_a)
+        # Two of constFold's obligations share goal content, hence one key:
+        # A dedupes its own batch, and B searches nothing at all.
+        assert distinct < len(obs_a)
+        assert len(backend.calls) == distinct
+        assert {owner for owner, _ in backend.calls} == {"A"}
+        assert [r.proved for r in box_b["report"].results] == [True] * len(obs_b)
+        assert cache.stats.coalesced == distinct
+        assert cache.stats.claims == distinct
+        assert cache.stats.claim_batches == 1
+
+    def test_each_job_gets_results_in_order_under_its_own_names(self):
+        backend = GatedBackend()
+        cache = SignallingCache("A", "B")
+        a, b = _checker(cache, backend), _checker(cache, backend)
+        obs_a, obs_b = _obligations("A"), _obligations("B")
+        box_a, box_b = _overlap(a, obs_a, b, obs_b, gated=backend,
+                                b_reached=cache.waiting["B"])
+        for box, obs in ((box_a, obs_a), (box_b, obs_b)):
+            results = box["report"].results
+            assert [r.obligation for r in results] == [ob.name for ob in obs]
+            assert all(r.proved for r in results)
+        # A searched the first obligation of each key, in order; a later
+        # obligation sharing a key was answered from that search.
+        firsts = {}
+        for ob in obs_a:
+            firsts.setdefault(obligation_key(ob, a._axiom_digest), ob.name)
+        assert [name for _, name in backend.calls] == list(firsts.values())
+
+    def test_unknown_under_one_hard_timeout_never_answers_another(self):
+        short = GatedBackend(proved=False)  # a hard-timeout unknown
+        full = GatedBackend(gated=False)
+        cache = SignallingCache("A", "B")
+        a = _checker(cache, short, timeout_s=0.001)
+        b = _checker(cache, full)
+        obs = _obligations()
+        # B's scope differs, so A's open claims are not B's to wait on.
+        box_a, box_b = _overlap(a, obs, b, obs, gated=short,
+                                b_reached=cache.claimed["B"])
+        distinct = _distinct_keys(a, obs)
+        assert not any(r.proved for r in box_a["report"].results)
+        assert all(r.proved for r in box_b["report"].results)
+        assert len(short.calls) == len(full.calls) == distinct
+        b_claims = [entry for entry in cache.claims_log if entry[0] == "B"]
+        assert [len(mine) for _, mine, _ in b_claims] == [distinct]
+        assert not cache.waiting["B"].is_set()
+
+    def test_failed_claimant_releases_and_waiter_proves_itself(self):
+        crashing = GatedBackend(fail=True)
+        healthy = GatedBackend(gated=False)
+        cache = SignallingCache("A", "B")
+        a, b = _checker(cache, crashing), _checker(cache, healthy)
+        obs = _obligations()
+        box_a, box_b = _overlap(a, obs, b, obs, gated=crashing,
+                                b_reached=cache.waiting["B"])
+        assert isinstance(box_a.get("error"), RuntimeError)
+        assert all(r.proved for r in box_b["report"].results)
+        assert len(healthy.calls) == _distinct_keys(b, obs)
+        assert not cache._claims
+
+    def test_concurrent_in_process_searches_never_overlap(self, monkeypatch):
+        import repro.verify.parallel as parallel
+
+        contended = threading.Event()
+        progress = threading.Event()  # B queued on the lock, or got past it
+
+        class ObservedLock:
+            """The search lock, signalling when a second thread queues."""
+
+            def __init__(self) -> None:
+                self.lock = threading.Lock()
+
+            def __enter__(self):
+                if not self.lock.acquire(blocking=False):
+                    contended.set()
+                    progress.set()
+                    self.lock.acquire()
+
+            def __exit__(self, *exc) -> None:
+                self.lock.release()
+
+        monkeypatch.setattr(parallel, "_SEARCH_LOCK", ObservedLock())
+        backend = GatedBackend()
+        original = backend.discharge
+
+        def discharge(owner, obligation):
+            if owner == "B":
+                progress.set()  # reached while A searches only without a lock
+            return original(owner, obligation)
+
+        backend.discharge = discharge
+        # Separate caches: nothing is shared, both jobs must search.
+        a = _checker(ProofCache(None), backend)
+        b = _checker(ProofCache(None), backend)
+        box_a, box_b = _overlap(a, _obligations("A"), b, _obligations("B"),
+                                gated=backend, b_reached=progress)
+        assert contended.is_set()
+        assert backend.max_active == 1
+        assert all(r.proved for r in box_a["report"].results)
+        assert all(r.proved for r in box_b["report"].results)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +354,7 @@ class TestBroker:
 
 @pytest.fixture()
 def service():
-    svc = VerificationService(FAST, max_concurrent_jobs=4,
-                              batch_window_s=0.02)
+    svc = VerificationService(FAST, max_concurrent_jobs=4)
     yield svc
     svc.shutdown()
 
@@ -319,10 +437,8 @@ class TestVerificationService:
         # Populate a store locally, serve it from a second daemon's
         # /v1/cache routes, and point a daemon with NO local cache at it:
         # the whole job must replay from ONE batched multi-GET (the
-        # verify_suite prefetch), byte-identical, with zero broker
-        # dispatches.
-        from dataclasses import replace
-
+        # verify_suite prefetch), byte-identical, with zero prover
+        # dispatches and the pulled verdicts counted as remote hits.
         from repro.cli import parse_blocks
         from repro.cobalt.dsl import Optimization
 
@@ -339,7 +455,6 @@ class TestVerificationService:
         )
         svc = VerificationService(
             replace(FAST, cache_url=f"http://127.0.0.1:{upstream.port}"),
-            batch_window_s=0.02,
         )
         try:
             job = svc.submit(
@@ -350,7 +465,9 @@ class TestVerificationService:
             assert job.result["canonical"] == local.canonical()
             assert svc.cache.remote is not None
             assert svc.cache.remote.stats.requests == 1
-            assert svc.broker.stats.dispatches == 0
+            stats = svc.stats_wire()
+            assert stats["broker"]["dispatches"] == 0
+            assert stats["cache"]["remote_hits"] > 0
             assert svc.cache.stats.hits >= 1
         finally:
             svc.shutdown()
@@ -390,10 +507,7 @@ class DaemonFixture:
 
 
 def _start_daemon(**kwargs):
-    server = ServiceServer(
-        kwargs.pop("options", FAST), port=0,
-        batch_window_s=kwargs.pop("batch_window_s", 0.02), **kwargs
-    )
+    server = ServiceServer(kwargs.pop("options", FAST), port=0, **kwargs)
     fixture = DaemonFixture(server)
     started = threading.Event()
 
@@ -628,7 +742,7 @@ class TestConcurrentClients:
     N = 4
 
     def test_concurrent_clients_byte_identical_and_batched(self):
-        fixture = _start_daemon(batch_window_s=0.5, max_concurrent_jobs=self.N)
+        fixture = _start_daemon(max_concurrent_jobs=self.N)
         try:
             results = [None] * self.N
             errors = []
@@ -663,12 +777,10 @@ class TestConcurrentClients:
 
             _, _, body = fixture.request("GET", "/v1/stats")
             stats = json.loads(body)
-            broker = stats["broker"]
-            # Cross-request batching actually happened: either several jobs
-            # shared a dispatch, or later jobs replayed the shared cache.
+            # Cross-request dedupe actually happened: a job waited on
+            # another's search, or replayed the shared cache.
             assert (
-                broker["shared_dispatches"] >= 1
-                or broker["coalesced"] >= 1
+                stats["broker"]["coalesced"] >= 1
                 or stats["cache"]["hits"] >= 1
             )
             assert stats["jobs"]["completed"] == self.N
@@ -685,7 +797,7 @@ class TestFullSuiteOverHTTP:
     N = 8
 
     def test_eight_clients_full_suite(self):
-        fixture = _start_daemon(batch_window_s=0.5, max_concurrent_jobs=self.N)
+        fixture = _start_daemon(max_concurrent_jobs=self.N)
         try:
             results = [None] * self.N
             errors = []
@@ -715,8 +827,7 @@ class TestFullSuiteOverHTTP:
             _, _, body = fixture.request("GET", "/v1/stats")
             stats = json.loads(body)
             assert (
-                stats["broker"]["shared_dispatches"] >= 1
-                or stats["broker"]["coalesced"] >= 1
+                stats["broker"]["coalesced"] >= 1
                 or stats["cache"]["hits"] >= 1
             )
         finally:
