@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.logic import intern as _intern
 from repro.prover import ProverConfig
 from repro.verify.cas import ShardedStore
 
@@ -187,25 +188,62 @@ def _digest_update(h, obj, seen: Dict[int, int]) -> None:
             h.update(f"s:{node!r};".encode())
 
 
+#: Memos of the two key derivations below.  Both are pure functions of
+#: hash-consed nodes, which hash on a cached int and compare by identity,
+#: so a hit is one dict probe and returns the digest a fresh walk computes;
+#: keys are unchanged.  (An un-interned impostor compares structurally and
+#: so gets its interned twin's key.)  A warm ``repro serve`` job otherwise
+#: spends most of its time re-walking the same axioms and goals.  Bounded by clear-on-overflow (the daemon keys
+#: arbitrary client source) and registered with the intern module, so
+#: :func:`repro.logic.intern.clear_memos` and ``structural_reference``
+#: clear or bypass them.  A racing clear only costs a recompute.
+_DIGEST_MEMO: Dict[tuple, str] = _intern.register_memo({})
+_DIGEST_MEMO_MAX = 64
+_KEY_MEMO: Dict[tuple, str] = _intern.register_memo({})
+_KEY_MEMO_MAX = 1 << 14
+
+
+def _memoized(memo: Dict[tuple, str], cap: int, key: tuple, compute) -> str:
+    """``compute()``, memoized in ``memo`` under ``key`` (at most ``cap``
+    entries); unhashable keys are computed with no memo."""
+    if not _intern.MEMO_ENABLED:
+        return compute()
+    try:
+        hit = memo.get(key)
+    except TypeError:
+        return compute()
+    if hit is None:
+        hit = compute()
+        if len(memo) >= cap:
+            memo.clear()
+        memo[key] = hit
+    return hit
+
+
 def axioms_digest(axioms: Sequence[object], constructors: Sequence[str] = ()) -> str:
     """A stable digest of the background axiom set (plus constructor names).
 
     Structural (:func:`_digest_update`) over the interned axiom DAG, with
-    sharing tracked across the whole set — the ~600 background axioms share
+    sharing tracked across the whole set — the 196 background axioms share
     most of their subterms, so the digest reads each distinct node once.
     ``(origin, formula)`` pairs hash the formula only — renaming an axiom's
-    origin tag does not change what is provable."""
-    h = hashlib.sha256()
-    h.update(f"schema:{SCHEMA_VERSION}\n".encode())
-    for name in sorted(constructors):
-        h.update(f"ctor:{name}\n".encode())
-    seen: Dict[int, int] = {}
-    for ax in axioms:
-        if isinstance(ax, tuple):
-            ax = ax[1]
-        _digest_update(h, ax, seen)
-        h.update(b"\n")
-    return h.hexdigest()
+    origin tag does not change what is provable.  Memoized per process on
+    exactly what the walk reads (:data:`_DIGEST_MEMO`)."""
+    formulas = tuple(ax[1] if isinstance(ax, tuple) else ax for ax in axioms)
+    ctors = tuple(sorted(constructors))
+
+    def compute() -> str:
+        h = hashlib.sha256()
+        h.update(f"schema:{SCHEMA_VERSION}\n".encode())
+        for name in ctors:
+            h.update(f"ctor:{name}\n".encode())
+        seen: Dict[int, int] = {}
+        for ax in formulas:
+            _digest_update(h, ax, seen)
+            h.update(b"\n")
+        return h.hexdigest()
+
+    return _memoized(_DIGEST_MEMO, _DIGEST_MEMO_MAX, (formulas, ctors), compute)
 
 
 def obligation_key(obligation, axiom_digest: str) -> str:
@@ -213,29 +251,39 @@ def obligation_key(obligation, axiom_digest: str) -> str:
 
     The obligation *name* (F1/B2/...) is deliberately excluded — two
     syntactically identical goals share one verdict no matter which pattern
-    generated them."""
-    from repro.verify import encode as E
+    generated them.  Memoized per process on ``(goal, seeds, split_term,
+    axiom_digest)`` (:data:`_KEY_MEMO`)."""
+    goal = obligation.goal
+    seeds = tuple(obligation.seeds)
+    split_term = obligation.split_term
 
-    h = hashlib.sha256()
-    h.update(f"schema:{SCHEMA_VERSION}\n".encode())
-    h.update(f"axioms:{axiom_digest}\n".encode())
-    seen: Dict[int, int] = {}
-    h.update(b"goal:")
-    _digest_update(h, obligation.goal, seen)
-    h.update(b"\n")
-    for seed in obligation.seeds:
-        h.update(b"seed:")
-        _digest_update(h, seed, seen)
+    def compute() -> str:
+        from repro.verify import encode as E
+
+        h = hashlib.sha256()
+        h.update(f"schema:{SCHEMA_VERSION}\n".encode())
+        h.update(f"axioms:{axiom_digest}\n".encode())
+        seen: Dict[int, int] = {}
+        h.update(b"goal:")
+        _digest_update(h, goal, seen)
         h.update(b"\n")
-    if obligation.split_term is not None:
-        # The checker-side case analysis is part of the proof's meaning:
-        # record the term split over and the kind tags enumerated.
-        h.update(b"split:")
-        _digest_update(h, obligation.split_term, seen)
-        for k in E.STMT_KINDS:
-            _digest_update(h, k, seen)
-        h.update(b"\n")
-    return h.hexdigest()
+        for seed in seeds:
+            h.update(b"seed:")
+            _digest_update(h, seed, seen)
+            h.update(b"\n")
+        if split_term is not None:
+            # The checker-side case analysis is part of the proof's meaning:
+            # record the term split over and the kind tags enumerated.
+            h.update(b"split:")
+            _digest_update(h, split_term, seen)
+            for k in E.STMT_KINDS:
+                _digest_update(h, k, seen)
+            h.update(b"\n")
+        return h.hexdigest()
+
+    return _memoized(
+        _KEY_MEMO, _KEY_MEMO_MAX, (goal, seeds, split_term, axiom_digest), compute
+    )
 
 
 #: Backend identities whose ``proved`` verdicts are trusted by *every*
@@ -283,6 +331,11 @@ class CachedVerdict:
             backend=str(data.get("backend", "internal")),
         )
 
+    @property
+    def universal(self) -> bool:
+        """An internal proof: it replays for every config and backend."""
+        return self.proved and self.backend.startswith(_UNIVERSAL_BACKEND_PREFIX)
+
     def replayable_for(self, config_fp: str, backend: str) -> bool:
         """Whether this verdict answers a request under the given identity.
 
@@ -298,9 +351,9 @@ class CachedVerdict:
         * ``unknown`` verdicts are resource-limit artifacts — they replay
           only for the exact configuration *and* backend that produced
           them."""
+        if self.universal:
+            return True
         if self.proved:
-            if self.backend.startswith(_UNIVERSAL_BACKEND_PREFIX):
-                return True
             # A portfolio identity embeds its legs' identities verbatim, so
             # substring containment is exactly "produced by one of my legs".
             identity_ok = self.backend == backend or (
@@ -572,6 +625,12 @@ class ProofCache:
     def put(self, key: str, *, proved: bool, elapsed_s: float,
             context: Sequence[str] = (), config_fp: str = "",
             backend: str = "internal") -> None:
+        """Store a verdict for ``key`` and release the caller's claim on it.
+
+        A stored internal proof replays under every config and backend, so
+        only another internal proof replaces it: an ``unknown`` from a run
+        under tighter limits (or an external solver's proof) would narrow
+        who the key replays for, and later runs would prove it again."""
         entry = CachedVerdict(
             proved=proved,
             elapsed_s=elapsed_s,
@@ -582,9 +641,12 @@ class ProofCache:
         with self._lock:
             self._release((key, config_fp, backend))
             existing = self._lookup(key)
-            if existing is not None and existing.same_payload(entry):
+            if existing is not None and (
+                existing.same_payload(entry)
+                or (existing.universal and not entry.universal)
+            ):
                 # Identical verdict already stored: re-writing it would churn
-                # bytes for no information.
+                # bytes for no information; a universal proof is kept.
                 return
             self._entries[key] = entry
             self._dirty.add(key)

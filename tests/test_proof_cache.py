@@ -7,7 +7,10 @@ Covers the cache contract the parallel/cached checker relies on:
   deterministically rendered formulas, not interned ids);
 * invalidation when an optimization's guards, witness, or the background
   axiom set change (the key covers all proof inputs);
-* ``unknown`` verdicts are config-scoped while ``proved`` ones are not;
+* ``unknown`` verdicts are config-scoped while ``proved`` ones are not,
+  and a stored internal proof is never evicted by a narrower verdict;
+* the memoized axiom digest and obligation keys are the ones a fresh walk
+  computes, bounded, and safe under racing threads;
 * a corrupted or malformed verdict object reads as absent, never fatal;
 * the sharded on-disk store (one file per verdict) merges concurrent
   writers instead of clobbering, and is the only on-disk form: a file
@@ -29,6 +32,8 @@ from repro.cobalt.patterns import VarPat
 from repro.prover import ProverConfig
 from repro.api import VerifyOptions
 from repro.verify import ProofCache, SoundnessChecker
+from repro.logic import intern
+from repro.verify import cache as cache_mod
 from repro.verify.cache import (
     SCHEMA_VERSION,
     axioms_digest,
@@ -418,6 +423,32 @@ class TestIdempotentPut:
         assert cache.stats.stores == 2
         assert cache.get("k", "b") is not None
 
+    def test_unknown_does_not_replace_an_internal_proof(self):
+        # A daemon client's tiny obligation timeout must not evict a proof
+        # that replays for every config: later default-limit runs would
+        # prove the key again.
+        cache = ProofCache(None)
+        cache.put("k", proved=True, elapsed_s=0.5, config_fp="default")
+        cache.put("k", proved=False, elapsed_s=0.001, context=["<hard timeout>"],
+                  config_fp="default;hard_timeout=0.001")
+        hit = cache.get("k", "default")
+        assert hit is not None and hit.proved
+        assert cache.stats.stores == 1
+
+    def test_external_proof_does_not_replace_an_internal_proof(self):
+        cache = ProofCache(None)
+        cache.put("k", proved=True, elapsed_s=0.5, config_fp="a")
+        cache.put("k", proved=True, elapsed_s=0.5, config_fp="a",
+                  backend="smtlib:z3 version=4")
+        assert cache.get("k", "b", "portfolio") is not None
+
+    def test_proof_replaces_an_unknown(self):
+        cache = ProofCache(None)
+        cache.put("k", proved=False, elapsed_s=0.5, config_fp="a")
+        cache.put("k", proved=True, elapsed_s=0.5, config_fp="b")
+        hit = cache.get("k", "a")
+        assert hit is not None and hit.proved
+
 
 class TestStatsSplit:
     def test_absent_counts_as_miss(self, tmp_path):
@@ -431,3 +462,124 @@ class TestStatsSplit:
         assert cache.get("k", "big") is None
         assert (cache.stats.misses, cache.stats.stale) == (0, 1)
         assert "1 stale" in str(cache.stats)
+
+
+def _suite_keys():
+    from repro.opts import ALL_OPTIMIZATIONS
+    from repro.opts.buggy import ALL_BUGGY
+
+    return SoundnessChecker().suite_obligation_keys(
+        optimizations=list(ALL_OPTIMIZATIONS) + list(ALL_BUGGY)
+    )
+
+
+def _impostor(node):
+    """A structurally equal copy of ``node`` built behind the constructors."""
+    cls = type(node)
+    twin = object.__new__(cls)
+    for name in cls.__slots__:
+        if name != "__weakref__":
+            object.__setattr__(twin, name, getattr(node, name))
+    object.__setattr__(twin, "_interned", False)
+    return twin
+
+
+class TestKeyMemo:
+    """Memoized digests and keys are the ones a fresh walk computes."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memos(self):
+        intern.clear_memos()
+        yield
+        intern.clear_memos()
+
+    def test_suite_keys_match_unmemoized_keys(self):
+        with intern.structural_reference():
+            fresh = _suite_keys()
+        assert len(fresh) > 100
+        assert _suite_keys() == fresh  # memo misses, then stores
+        assert cache_mod._KEY_MEMO
+        assert _suite_keys() == fresh  # memo hits
+
+    def test_axiom_digest_tracks_the_axiom_set(self):
+        axioms = list(all_axioms())
+        base = axioms_digest(axioms, CONSTRUCTORS)
+        assert axioms_digest(axioms, CONSTRUCTORS) == base  # a memo hit
+        swapped = [axioms[1], axioms[0]] + axioms[2:]
+        variants = [
+            (axioms + [("extra", axioms[0])], CONSTRUCTORS),
+            (swapped, CONSTRUCTORS),
+            (axioms, sorted(CONSTRUCTORS)[1:]),
+        ]
+        digests = [axioms_digest(a, c) for a, c in variants]
+        assert base not in digests and len(set(digests)) == len(digests)
+        with intern.structural_reference():
+            assert [axioms_digest(a, c) for a, c in variants] == digests
+            assert axioms_digest(axioms, CONSTRUCTORS) == base
+
+    def test_key_tracks_seeds_and_split_after_a_hit(self, digest):
+        ob = next(o for o in _obligations(const_prop.pattern)
+                  if o.seeds and o.split_term is not None)
+        key = obligation_key(ob, digest)
+        assert obligation_key(ob, digest) == key  # a memo hit
+        variants = [
+            dataclasses.replace(ob, seeds=ob.seeds[:-1]),
+            dataclasses.replace(ob, split_term=None),
+            dataclasses.replace(ob, seeds=(), split_term=None),
+        ]
+        keys = [obligation_key(v, digest) for v in variants]
+        assert key not in keys and len(set(keys)) == len(keys)
+        with intern.structural_reference():
+            assert [obligation_key(v, digest) for v in variants] == keys
+
+    def test_impostor_goal_shares_its_twin_key(self, digest):
+        ob = _obligations(const_prop.pattern)[0]
+        twin = _impostor(ob.goal)
+        assert twin is not ob.goal and twin == ob.goal
+        fake = dataclasses.replace(ob, goal=twin)
+        key = obligation_key(ob, digest)
+        assert obligation_key(fake, digest) == key  # memo hit
+        intern.clear_memos()
+        assert obligation_key(fake, digest) == key  # fresh walk
+
+    def test_unhashable_input_is_computed_unmemoized(self):
+        axioms = [["not", "hashable"]]
+        with intern.structural_reference():
+            fresh = axioms_digest(axioms)
+        assert axioms_digest(axioms) == fresh
+        assert not cache_mod._DIGEST_MEMO
+
+    def test_threads_racing_clears_get_the_serial_keys(self, monkeypatch):
+        # Job threads share the memos; a tiny cap makes every thread clear
+        # them under the others, which may cost recomputes, never a key.
+        import threading
+
+        expected = _suite_keys()
+        monkeypatch.setattr(cache_mod, "_KEY_MEMO_MAX", 8)
+        outcomes = []
+
+        def work():
+            outcomes.append(all(_suite_keys() == expected for _ in range(3)))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert outcomes == [True] * 4
+
+    def test_memos_are_bounded(self, monkeypatch, digest):
+        monkeypatch.setattr(cache_mod, "_DIGEST_MEMO_MAX", 4)
+        monkeypatch.setattr(cache_mod, "_KEY_MEMO_MAX", 4)
+        ob = _obligations(const_fold.pattern)[0]
+        for i in range(10):
+            axioms_digest([f"axiom{i}"])
+            obligation_key(ob, f"{digest}{i}")
+            assert len(cache_mod._DIGEST_MEMO) <= 4
+            assert len(cache_mod._KEY_MEMO) <= 4
