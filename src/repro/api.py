@@ -309,7 +309,7 @@ def _coerce_item(opt):
     if isinstance(opt, (ForwardPattern, BackwardPattern)):
         return Optimization(opt)
     if isinstance(opt, str):
-        from repro.cli import parse_blocks
+        from repro.cobalt.parser import parse_blocks
 
         items = parse_blocks(opt)
         if len(items) != 1:

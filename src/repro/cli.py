@@ -61,56 +61,18 @@ Every subcommand builds its verification configuration through
 from __future__ import annotations
 
 import argparse
-import re
 import sys
-from typing import List, Tuple
 
-from repro.il import parse_program, run_program
+from repro.il import ParseError, parse_program, run_program
 from repro.il.interp import ExecError, OutOfFuel
+from repro.il.program import ProgramError
 from repro.il.printer import program_to_str
 from repro.cobalt.dsl import Optimization, PureAnalysis
 from repro.cobalt.engine import CobaltEngine
 from repro.cobalt.labels import standard_registry
-from repro.cobalt.parser import parse_optimization, parse_pure_analysis
+from repro.cobalt.parser import parse_blocks, split_blocks  # noqa: F401  (perfbench imports both from here)
 from repro.prover import ProverConfig, ProverStats
 from repro.verify import SoundnessChecker
-
-_BLOCK_RE = re.compile(
-    r"\b(forward\s+optimization|backward\s+optimization|analysis)\b", re.DOTALL
-)
-
-
-def split_blocks(source: str) -> List[str]:
-    """Split a .cobalt file into top-level blocks by brace matching."""
-    blocks = []
-    starts = [m.start() for m in _BLOCK_RE.finditer(source)]
-    for start in starts:
-        depth = 0
-        end = None
-        for i in range(start, len(source)):
-            if source[i] == "{":
-                depth += 1
-            elif source[i] == "}":
-                depth -= 1
-                if depth == 0:
-                    end = i + 1
-                    break
-        if end is None:
-            raise SystemExit(f"unbalanced braces in block starting at offset {start}")
-        blocks.append(source[start:end])
-    if not blocks:
-        raise SystemExit("no optimization or analysis blocks found")
-    return blocks
-
-
-def parse_blocks(source: str) -> List[object]:
-    out: List[object] = []
-    for block in split_blocks(source):
-        if block.lstrip().startswith("analysis"):
-            out.append(parse_pure_analysis(block))
-        else:
-            out.append(parse_optimization(block))
-    return out
 
 
 def build_verify_options(args):
@@ -154,8 +116,21 @@ def _emit_prover_stats(args, reports) -> None:
     print(intern_stats.summary(), file=sys.stderr)
 
 
+def _parse_file(path: str, parse):
+    """``parse`` the text of ``path``; a malformed file exits with one
+    ``FILE:LINE:COL: message`` line instead of a traceback."""
+    with open(path) as f:
+        text = f.read()
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise SystemExit(f"{path}:{exc.line}:{exc.col}: {exc.message}") from None
+    except ProgramError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
+
+
 def cmd_check(args) -> int:
-    items = parse_blocks(open(args.file).read())
+    items = _parse_file(args.file, parse_blocks)
     checker = _checker(args)
     failures = 0
     reports = []
@@ -189,6 +164,7 @@ def cmd_check(args) -> int:
 def cmd_opt(args) -> int:
     from repro import opts as suite
 
+    program = _parse_file(args.file, parse_program)
     by_name = {opt.name: opt for opt in suite.ALL_OPTIMIZATIONS}
     passes = []
     for name in args.passes.split(","):
@@ -217,7 +193,6 @@ def cmd_opt(args) -> int:
                                  f"use --trust to run it anyway")
         _emit_prover_stats(args, reports)
 
-    program = parse_program(open(args.file).read())
     engine = CobaltEngine(standard_registry())
     total = 0
     for opt in passes:
@@ -238,7 +213,7 @@ def cmd_opt(args) -> int:
 
 
 def cmd_run(args) -> int:
-    program = parse_program(open(args.file).read())
+    program = _parse_file(args.file, parse_program)
     try:
         value = run_program(program, args.arg, fuel=args.fuel)
     except ExecError as e:
@@ -254,7 +229,7 @@ def cmd_run(args) -> int:
 def cmd_counterexample(args) -> int:
     from repro.verify.synthesize import find_counterexample
 
-    items = [i for i in parse_blocks(open(args.file).read()) if not isinstance(i, PureAnalysis)]
+    items = [i for i in _parse_file(args.file, parse_blocks) if not isinstance(i, PureAnalysis)]
     status = 0
     for pattern in items:
         found = find_counterexample(Optimization(pattern))

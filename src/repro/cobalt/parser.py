@@ -36,14 +36,18 @@ Guards are boolean combinations (``!``, ``&&``, ``||``, parentheses) of
 label atoms ``l(t, ...)``, the built-in ``stmt(<pattern>)``, term equality
 ``t == t``, and ``true``/``false``.  Witness syntax covers the stock
 witnesses of :mod:`repro.cobalt.witness`.
+
+Everything is parsed over the IL tokenizer's stream
+(:mod:`repro.il.parser`), so comments work anywhere and every error is a
+:class:`~repro.il.parser.ParseError` that names its line and column.
 """
 
 from __future__ import annotations
 
-import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.il.ast import Const, Var
+from repro.il.ast import Var
+from repro.il.parser import KEYWORDS, ParseError, Parser
 from repro.cobalt.dsl import BackwardPattern, ForwardPattern, PureAnalysis
 from repro.cobalt.guards import (
     GAnd,
@@ -55,7 +59,15 @@ from repro.cobalt.guards import (
     GTrue,
     Guard,
 )
-from repro.cobalt.patterns import classify_ident, parse_pattern_stmt
+from repro.cobalt.patterns import (
+    ConstPat,
+    ExprPat,
+    IndexPat,
+    OpPat,
+    VarPat,
+    Wildcard,
+    classify_ident,
+)
 from repro.cobalt.witness import (
     Conj,
     EqualExceptVar,
@@ -66,293 +78,247 @@ from repro.cobalt.witness import (
     VarEqVar,
 )
 
+#: The name this front end's error had before IL and Cobalt shared one.
+CobaltSyntaxError = ParseError
 
-class CobaltSyntaxError(Exception):
-    """Raised on malformed Cobalt source."""
-
-
-_HEADER_RE = re.compile(
-    r"\s*(forward|backward)\s+optimization\s+([A-Za-z_][A-Za-z0-9_]*)\s*\{(.*)\}\s*$",
-    re.DOTALL,
-)
-_ANALYSIS_RE = re.compile(
-    r"\s*analysis\s+([A-Za-z_][A-Za-z0-9_]*)\s*\{(.*)\}\s*$",
-    re.DOTALL,
-)
+_VAR_SORTS = (Var, VarPat)
+_BASE_SORTS = (Var, VarPat, ConstPat, ExprPat)
 
 
-def _split_once(text: str, keyword: str) -> Tuple[str, str]:
-    pattern = re.compile(rf"\b{keyword}\b")
-    m = pattern.search(text)
-    if m is None:
-        raise CobaltSyntaxError(f"missing {keyword.replace(chr(92)+'s+', ' ')!r} clause")
-    return text[: m.start()], text[m.end() :]
+class CobaltParser(Parser):
+    """The IL grammar in pattern mode, plus blocks, guards and witnesses.
+
+    Upper-case identifiers are pattern variables (see
+    :func:`~repro.cobalt.patterns.classify_ident`) and ``...`` is the
+    wildcard; only the leaf rules differ from IL."""
+
+    # -- pattern leaves -------------------------------------------------------
+
+    def leaf(self, sorts: tuple, what: str) -> object:
+        """``...`` or an identifier whose pattern sort is one of ``sorts``."""
+        if self.accept("..."):
+            return Wildcard()
+        tok = self.peek()
+        if tok.kind == "IDENT" and tok.text not in KEYWORDS:
+            leaf = classify_ident(tok.text)
+            if isinstance(leaf, sorts):
+                self.advance()
+                return leaf
+        raise self.error(f"expected {what}")
+
+    def var(self):
+        return self.leaf(_VAR_SORTS, "a variable pattern")
+
+    def base_expr(self):
+        if self.peek().kind == "NUM" or self.peek().text == "-":
+            return super().base_expr()
+        return self.leaf(_BASE_SORTS, "a base-expression pattern")
+
+    def index(self):
+        if self.peek().kind == "NUM":
+            return super().index()
+        return self.leaf((IndexPat,), "an index pattern")
+
+    def binary_op(self):
+        tok = self.peek()
+        if tok.kind == "IDENT" and tok.text.startswith("OP"):
+            self.advance()
+            return OpPat(tok.text)
+        return super().binary_op()
+
+    def callee(self):
+        # ``X := P(...)``: an upper-case name matches any procedure.
+        name = self.expect_ident()
+        return Wildcard() if name[0].isupper() else name
+
+    def assign_lhs(self, var):
+        # A wildcard target matches any assignment target (variable or
+        # pointer store); a named target matches variable assignments only.
+        return var if isinstance(var, Wildcard) else super().assign_lhs(var)
+
+    def term(self) -> object:
+        """A label argument or witness term: a lone leaf of any sort, or an
+        expression pattern."""
+        tok = self.peek()
+        leaf = classify_ident(tok.text) if tok.kind == "IDENT" else None
+        if isinstance(leaf, (IndexPat, OpPat)):
+            self.advance()
+            return leaf
+        return self.expr()
+
+    def name_leaf(self) -> object:
+        """A lone identifier as a pattern leaf (witness and ``==`` operands)."""
+        return classify_ident(self.expect_ident())
+
+    def args(self) -> Tuple[object, ...]:
+        self.expect("(")
+        if self.accept(")"):
+            return ()
+        args = [self.term()]
+        while self.accept(","):
+            args.append(self.term())
+        self.expect(")")
+        return tuple(args)
+
+    def phrase(self, words: str) -> None:
+        for word in words.split():
+            self.expect(word)
+
+    # -- blocks ---------------------------------------------------------------
+
+    def blocks(self) -> List[Tuple[str, object]]:
+        """``file := block+``: each block with the source text it spans."""
+        out = []
+        while self.peek().kind != "EOF":
+            start = self.peek().pos
+            item = self.analysis() if self.peek().text == "analysis" else self.optimization()
+            close = self.tokens[self.pos - 1]
+            out.append((self.text[start : close.pos + 1], item))
+        if not out:
+            raise self.error("no optimization or analysis blocks found")
+        return out
+
+    def optimization(self):
+        forward = self.accept("forward")
+        if not forward and not self.accept("backward"):
+            raise self.error("expected 'forward optimization', 'backward optimization' or 'analysis'")
+        self.expect("optimization")
+        name = self.expect_ident()
+        self.expect("{")
+        psi1 = self.guard()
+        self.phrase("followed by" if forward else "preceded by")
+        psi2 = self.guard()
+        self.expect("until" if forward else "since")
+        s = self.statement()
+        self.expect("=>")
+        s_new = self.statement()
+        self.phrase("with witness")
+        witness = self.witness()
+        self.expect("}")
+        cls = ForwardPattern if forward else BackwardPattern
+        return cls(name, psi1, psi2, s, s_new, witness)
+
+    def analysis(self) -> PureAnalysis:
+        self.expect("analysis")
+        name = self.expect_ident()
+        self.expect("{")
+        psi1 = self.guard()
+        self.phrase("followed by")
+        psi2 = self.guard()
+        self.expect("defines")
+        label_name = self.expect_ident()
+        args = self.args()
+        self.phrase("with witness")
+        witness = self.witness()
+        self.expect("}")
+        return PureAnalysis(name, psi1, psi2, label_name, args, witness)
+
+    # -- guards ---------------------------------------------------------------
+
+    def guard(self) -> Guard:
+        parts = [self.conjunction()]
+        while self.accept("||"):
+            parts.append(self.conjunction())
+        return parts[0] if len(parts) == 1 else GOr(tuple(parts))
+
+    def conjunction(self) -> Guard:
+        parts = [self.negation()]
+        while self.accept("&&"):
+            parts.append(self.negation())
+        return parts[0] if len(parts) == 1 else GAnd(tuple(parts))
+
+    def negation(self) -> Guard:
+        if self.accept("!"):
+            return GNot(self.negation())
+        if self.accept("("):
+            inner = self.guard()
+            self.expect(")")
+            return inner
+        if self.peek().kind != "IDENT":
+            raise self.error("expected guard atom")
+        name = self.advance().text
+        if name == "true":
+            return GTrue()
+        if name == "false":
+            return GFalse()
+        if name == "stmt" and self.accept("("):
+            s = self.statement()
+            self.expect(")")
+            return GLabel("stmt", (s,))
+        if self.peek().text == "(":
+            return GLabel(name, self.args())
+        if self.accept("=="):
+            return GEq(classify_ident(name), self.name_leaf())
+        return GLabel(name, ())
+
+    # -- witnesses ------------------------------------------------------------
+
+    def witness(self):
+        parts = [self.witness_atom()]
+        while self.accept("&&"):
+            parts.append(self.witness_atom())
+        return parts[0] if len(parts) == 1 else Conj(tuple(parts))
+
+    def witness_atom(self):
+        if self.accept("true"):
+            return TrueWitness()
+        if self.accept("notPointedTo"):
+            self.expect("(")
+            var = self.name_leaf()
+            self.expect(")")
+            return NotPointedTo(var)
+        if self.accept("etaOld"):
+            self.expect("/")
+            name = self.expect_ident()
+            self.phrase("== etaNew /")
+            if self.peek().text != name:
+                raise self.error("etaOld/X == etaNew/Y requires X == Y")
+            self.advance()
+            return EqualExceptVar(classify_ident(name))
+        if self.accept("eta"):
+            self.expect("(")
+            lhs = self.name_leaf()
+            self.phrase(") ==")
+            if not self.accept("eta"):
+                return VarEqConst(lhs, self.base_expr())
+            self.expect("(")
+            rhs = self.term()
+            self.expect(")")
+            if isinstance(rhs, _VAR_SORTS):
+                return VarEqVar(lhs, rhs)
+            return VarEqExpr(lhs, rhs)
+        raise self.error("unrecognized witness")
 
 
 def parse_optimization(source: str):
     """Parse a ``forward optimization`` or ``backward optimization`` block
     into a :class:`ForwardPattern` or :class:`BackwardPattern`."""
-    m = _HEADER_RE.match(source)
-    if m is None:
-        raise CobaltSyntaxError("expected 'forward|backward optimization name { ... }'")
-    direction, name, body = m.group(1), m.group(2), m.group(3)
-    connective = "followed\\s+by" if direction == "forward" else "preceded\\s+by"
-    terminator = "until" if direction == "forward" else "since"
-
-    psi1_text, rest = _split_once(body, connective)
-    psi2_text, rest = _split_once(rest, terminator)
-    rule_text, witness_text = _split_once(rest, "with\\s+witness")
-    if "=>" not in rule_text:
-        raise CobaltSyntaxError("rewrite rule must contain '=>'")
-    s_text, s_new_text = rule_text.split("=>", 1)
-
-    psi1 = parse_guard(psi1_text)
-    psi2 = parse_guard(psi2_text)
-    s = parse_pattern_stmt(s_text.strip())
-    s_new = parse_pattern_stmt(s_new_text.strip())
-    witness = parse_witness(witness_text)
-
-    cls = ForwardPattern if direction == "forward" else BackwardPattern
-    return cls(name, psi1, psi2, s, s_new, witness)
+    return CobaltParser.parse(source, CobaltParser.optimization)
 
 
 def parse_pure_analysis(source: str) -> PureAnalysis:
     """Parse an ``analysis name { ... }`` block into a :class:`PureAnalysis`."""
-    m = _ANALYSIS_RE.match(source)
-    if m is None:
-        raise CobaltSyntaxError("expected 'analysis name { ... }'")
-    name, body = m.group(1), m.group(2)
-    psi1_text, rest = _split_once(body, "followed\\s+by")
-    psi2_text, rest = _split_once(rest, "defines")
-    label_text, witness_text = _split_once(rest, "with\\s+witness")
-
-    label_m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$", label_text, re.DOTALL)
-    if label_m is None:
-        raise CobaltSyntaxError(f"bad defines clause: {label_text.strip()!r}")
-    label_name = label_m.group(1)
-    args = tuple(
-        _parse_term(a.strip()) for a in label_m.group(2).split(",") if a.strip()
-    )
-    return PureAnalysis(
-        name,
-        parse_guard(psi1_text),
-        parse_guard(psi2_text),
-        label_name,
-        args,
-        parse_witness(witness_text),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Guards
-# ---------------------------------------------------------------------------
-
-
-class _GuardParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def _ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self, s: str) -> bool:
-        self._ws()
-        return self.text.startswith(s, self.pos)
-
-    def eat(self, s: str) -> bool:
-        if self.peek(s):
-            self.pos += len(s)
-            return True
-        return False
-
-    def expect(self, s: str) -> None:
-        if not self.eat(s):
-            raise CobaltSyntaxError(
-                f"expected {s!r} at ...{self.text[self.pos:self.pos+25]!r}"
-            )
-
-    def ident(self) -> Optional[str]:
-        self._ws()
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", self.text[self.pos :])
-        if m is None:
-            return None
-        self.pos += m.end()
-        return m.group(0)
-
-    # or_expr := and_expr ('||' and_expr)*
-    def or_expr(self) -> Guard:
-        parts = [self.and_expr()]
-        while self.eat("||"):
-            parts.append(self.and_expr())
-        return parts[0] if len(parts) == 1 else GOr(tuple(parts))
-
-    def and_expr(self) -> Guard:
-        parts = [self.not_expr()]
-        while self.eat("&&"):
-            parts.append(self.not_expr())
-        return parts[0] if len(parts) == 1 else GAnd(tuple(parts))
-
-    def not_expr(self) -> Guard:
-        if self.eat("!"):
-            return GNot(self.not_expr())
-        return self.atom()
-
-    def atom(self) -> Guard:
-        if self.eat("("):
-            inner = self.or_expr()
-            self.expect(")")
-            return inner
-        name = self.ident()
-        if name is None:
-            raise CobaltSyntaxError(
-                f"expected guard atom at ...{self.text[self.pos:self.pos+25]!r}"
-            )
-        if name == "true":
-            return GTrue()
-        if name == "false":
-            return GFalse()
-        self._ws()
-        if self.text.startswith("(", self.pos):
-            args_text = self._balanced_parens()
-            if name == "stmt":
-                return GLabel("stmt", (parse_pattern_stmt(args_text),))
-            args = tuple(
-                _parse_term(a.strip()) for a in _split_args(args_text)
-            )
-            return GLabel(name, args)
-        # Bare term followed by '==' — a term equality.
-        if self.eat("=="):
-            rhs = self.ident()
-            if rhs is None:
-                raise CobaltSyntaxError("expected term after '=='")
-            return GEq(_parse_term(name), _parse_term(rhs))
-        return GLabel(name, ())
-
-    def _balanced_parens(self) -> str:
-        assert self.text[self.pos] == "("
-        depth = 0
-        start = self.pos + 1
-        for i in range(self.pos, len(self.text)):
-            if self.text[i] == "(":
-                depth += 1
-            elif self.text[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    self.pos = i + 1
-                    return self.text[start:i]
-        raise CobaltSyntaxError("unbalanced parentheses in guard")
-
-    def done(self) -> None:
-        self._ws()
-        if self.pos != len(self.text):
-            raise CobaltSyntaxError(f"trailing guard input: {self.text[self.pos:]!r}")
-
-
-def _split_args(text: str) -> List[str]:
-    out: List[str] = []
-    depth = 0
-    current = ""
-    for ch in text:
-        if ch == "," and depth == 0:
-            out.append(current)
-            current = ""
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        current += ch
-    if current.strip():
-        out.append(current)
-    return out
-
-
-def _parse_term(text: str) -> object:
-    text = text.strip()
-    if re.fullmatch(r"-?\d+", text):
-        return Const(int(text))
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
-        return classify_ident(text)
-    # Fall back to expression-pattern syntax (&X, *X, X + Y, ...).
-    from repro.cobalt._pattern_parser import _P
-
-    parser = _P(text)
-    expr = parser.expr()
-    parser.done()
-    return expr
+    return CobaltParser.parse(source, CobaltParser.analysis)
 
 
 def parse_guard(text: str) -> Guard:
     """Parse a guard formula psi."""
-    parser = _GuardParser(text.strip())
-    guard = parser.or_expr()
-    parser.done()
-    return guard
-
-
-# ---------------------------------------------------------------------------
-# Witnesses
-# ---------------------------------------------------------------------------
-
-_ETA_EQ_RE = re.compile(
-    r"^eta\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)\s*==\s*(.+)$", re.DOTALL
-)
-_ETA_OLD_NEW_RE = re.compile(
-    r"^etaOld\s*/\s*([A-Za-z_][A-Za-z0-9_]*)\s*==\s*etaNew\s*/\s*([A-Za-z_][A-Za-z0-9_]*)$"
-)
-_NPT_RE = re.compile(r"^notPointedTo\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)$")
+    return CobaltParser.parse(text, CobaltParser.guard)
 
 
 def parse_witness(text: str):
     """Parse a witness clause into a stock witness object."""
-    text = text.strip()
-    if text == "true":
-        return TrueWitness()
-    parts = [p.strip() for p in _split_top_level_and(text)]
-    if len(parts) > 1:
-        return Conj(tuple(parse_witness(p) for p in parts))
-    m = _ETA_OLD_NEW_RE.match(text)
-    if m is not None:
-        if m.group(1) != m.group(2):
-            raise CobaltSyntaxError("etaOld/X == etaNew/Y requires X == Y")
-        return EqualExceptVar(classify_ident(m.group(1)))
-    m = _NPT_RE.match(text)
-    if m is not None:
-        return NotPointedTo(classify_ident(m.group(1)))
-    m = _ETA_EQ_RE.match(text)
-    if m is not None:
-        lhs = classify_ident(m.group(1))
-        rhs_text = m.group(2).strip()
-        inner = re.match(r"^eta\(\s*(.+?)\s*\)$", rhs_text)
-        if inner is not None:
-            rhs = _parse_term(inner.group(1))
-            from repro.cobalt.patterns import VarPat
-
-            if isinstance(rhs, (Var, VarPat)):
-                return VarEqVar(lhs, rhs)
-            return VarEqExpr(lhs, rhs)
-        return VarEqConst(lhs, _parse_term(rhs_text))
-    raise CobaltSyntaxError(f"unrecognized witness: {text!r}")
+    return CobaltParser.parse(text, CobaltParser.witness)
 
 
-def _split_top_level_and(text: str) -> List[str]:
-    out: List[str] = []
-    depth = 0
-    current = ""
-    i = 0
-    while i < len(text):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-        if depth == 0 and text.startswith("&&", i):
-            out.append(current)
-            current = ""
-            i += 2
-            continue
-        current += text[i]
-        i += 1
-    out.append(current)
-    return out
+def split_blocks(source: str) -> List[str]:
+    """Split a .cobalt file into the source text of its top-level blocks,
+    from each header keyword to its closing brace."""
+    return [text for text, _ in CobaltParser(source).blocks()]
+
+
+def parse_blocks(source: str) -> List[object]:
+    """Parse every block of a .cobalt file, in order: a
+    :class:`ForwardPattern`, :class:`BackwardPattern` or
+    :class:`PureAnalysis` each."""
+    return [item for _, item in CobaltParser(source).blocks()]

@@ -45,6 +45,7 @@ from repro.il.ast import (
     Var,
     VarLhs,
 )
+from repro.il.parser import ParseError
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,10 @@ def subst_order_key(frozen: FrozenSubst) -> str:
     return key
 
 
-class PatternError(Exception):
-    """Raised on malformed patterns or incomplete instantiations."""
+#: Raised on malformed patterns or incomplete instantiations: the text
+#: front end's one error class, so a pattern syntax error carries its
+#: line and column.
+PatternError = ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +457,6 @@ def pattern_vars(pattern: object) -> frozenset[str]:
 
 def classify_ident(name: str) -> object:
     """Map a pattern-syntax identifier to a leaf (pattern var or concrete)."""
-    if name == "...":
-        return Wildcard()
     if not name[0].isupper():
         return Var(name)
     if name.startswith("E"):
@@ -485,6 +486,6 @@ def parse_pattern_stmt(text: str) -> PStmt:
         "decl X", "skip", "return X", "return ...", "X := ..."
         "X := &Y", "X := *Y"
     """
-    from repro.cobalt._pattern_parser import parse
+    from repro.cobalt.parser import CobaltParser
 
-    return parse(text)
+    return CobaltParser.parse(text, CobaltParser.statement)

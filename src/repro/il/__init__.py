@@ -4,8 +4,8 @@ This package implements the paper's C-like untyped intermediate language
 (section 3.1): unstructured control flow, pointers to local variables,
 dynamically allocated memory, and recursive procedures, together with its
 small-step operational semantics, a parser, a pretty-printer, a CFG
-construction, a programmatic builder, and a random program generator used by
-the differential-testing harness.
+construction, and a random program generator used by the
+differential-testing harness.
 """
 
 from repro.il.ast import (
@@ -28,7 +28,6 @@ from repro.il.ast import (
     Var,
     VarLhs,
 )
-from repro.il.builder import ProcBuilder, ProgramBuilder
 from repro.il.cfg import Cfg
 from repro.il.interp import ExecError, Interpreter, run_program
 from repro.il.parser import ParseError, parse_program, parse_stmt
@@ -52,10 +51,8 @@ __all__ = [
     "Lhs",
     "New",
     "ParseError",
-    "ProcBuilder",
     "Procedure",
     "Program",
-    "ProgramBuilder",
     "Return",
     "Skip",
     "Stmt",

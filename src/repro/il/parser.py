@@ -1,4 +1,4 @@
-"""A tokenizer and recursive-descent parser for the intermediate language.
+"""The text front end: one tokenizer and one statement grammar.
 
 Concrete syntax::
 
@@ -12,13 +12,16 @@ Concrete syntax::
     }
 
 Comments are ``/* ... */`` (non-nesting) and ``// ...`` to end of line.
+The tokenizer also knows the Cobalt tokens ``...``, ``=>`` and ``?``:
+:class:`repro.cobalt.parser.CobaltParser` reuses this statement grammar
+and overrides only its leaf rules, so a pattern statement is an IL
+statement whose leaves may be pattern variables.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from repro.il.ast import (
     AddrOf,
@@ -33,7 +36,6 @@ from repro.il.ast import (
     DerefLhs,
     Expr,
     IfGoto,
-    Lhs,
     New,
     Return,
     Skip,
@@ -46,25 +48,35 @@ from repro.il.ast import (
 from repro.il.program import Procedure, Program
 
 
-class ParseError(Exception):
-    """Raised on any syntax error, with line/column information."""
+class ParseError(ValueError):
+    """The front end's one error: malformed IL or Cobalt text.
+
+    ``line`` and ``col`` (1-based) locate the offending token; they are
+    ``None`` only for errors raised outside the parser under the
+    ``PatternError`` name (a failed pattern instantiation)."""
+
+    def __init__(
+        self, message: str, line: Optional[int] = None, col: Optional[int] = None
+    ) -> None:
+        super().__init__(message if line is None else f"line {line}, col {col}: {message}")
+        self.message = message
+        self.line = line
+        self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT | NUM | PUNCT | EOF
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the source text
 
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>/\*.*?\*/|//[^\n]*)
-    | (?P<num>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<punct>:=|==|!=|<=|>=|&&|\|\||[-+*/%<>&(){};,=!])
+      (?P<ws>\s+|/\*.*?\*/|//[^\n]*)
+    | (?P<NUM>\d+)
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<PUNCT>\.\.\.|:=|==|!=|<=|>=|=>|&&|\|\||[-+*/%<>&(){};,=!?])
+    | (?P<junk>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -72,38 +84,44 @@ _TOKEN_RE = re.compile(
 KEYWORDS = {"decl", "skip", "new", "if", "goto", "else", "return"}
 
 
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    line_start = text.rfind("\n", 0, pos) + 1
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
+
+
 def tokenize(text: str) -> List[Token]:
     """Split ``text`` into tokens, raising :class:`ParseError` on junk."""
     tokens: List[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise ParseError(f"line {line}, col {col}: unexpected character {text[pos]!r}")
-        lexeme = m.group(0)
-        col = pos - line_start + 1
-        if m.lastgroup == "num":
-            tokens.append(Token("NUM", lexeme, line, col))
-        elif m.lastgroup == "ident":
-            tokens.append(Token("IDENT", lexeme, line, col))
-        elif m.lastgroup == "punct":
-            tokens.append(Token("PUNCT", lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + lexeme.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, pos - line_start + 1))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "junk":
+            raise _error_at(text, m.start(), f"unexpected character {m.group()!r}")
+        tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("EOF", "", len(text)))
     return tokens
 
 
-class _Parser:
+class Parser:
+    """Recursive descent over :func:`tokenize`'s stream.
+
+    The leaf rules -- :meth:`var`, :meth:`base_expr`, :meth:`index`,
+    :meth:`binary_op`, :meth:`callee` and :meth:`assign_lhs` -- are the
+    hooks a pattern-mode subclass overrides."""
+
     def __init__(self, text: str) -> None:
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+
+    @classmethod
+    def parse(cls, text: str, rule):
+        """Run grammar ``rule`` (an unbound method) over all of ``text``."""
+        parser = cls(text)
+        result = rule(parser)
+        parser.end()
+        return result
 
     # -- token plumbing -----------------------------------------------------
 
@@ -118,11 +136,11 @@ class _Parser:
 
     def error(self, message: str) -> ParseError:
         tok = self.peek()
-        return ParseError(f"line {tok.line}, col {tok.col}: {message} (got {tok.text!r})")
+        got = repr(tok.text) if tok.kind != "EOF" else "end of input"
+        return _error_at(self.text, tok.pos, f"{message} (got {got})")
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
+        if self.peek().text != text:
             raise self.error(f"expected {text!r}")
         return self.advance()
 
@@ -139,10 +157,13 @@ class _Parser:
         return self.advance().text
 
     def expect_num(self) -> int:
-        tok = self.peek()
-        if tok.kind != "NUM":
+        if self.peek().kind != "NUM":
             raise self.error("expected number")
         return int(self.advance().text)
+
+    def end(self) -> None:
+        if self.peek().kind != "EOF":
+            raise self.error("trailing input")
 
     # -- grammar ------------------------------------------------------------
 
@@ -167,47 +188,54 @@ class _Parser:
         return Procedure(name, param, tuple(stmts))
 
     def statement(self) -> Stmt:
-        tok = self.peek()
-        if tok.text == "decl":
-            self.advance()
-            return Decl(Var(self.expect_ident()))
-        if tok.text == "skip":
-            self.advance()
+        if self.accept("decl"):
+            return Decl(self.var())
+        if self.accept("skip"):
             return Skip()
-        if tok.text == "return":
-            self.advance()
-            return Return(Var(self.expect_ident()))
-        if tok.text == "if":
-            self.advance()
+        if self.accept("return"):
+            return Return(self.var())
+        if self.accept("if"):
             cond = self.base_expr()
             self.expect("goto")
-            then_index = self.expect_num()
+            then_index = self.index()
             self.expect("else")
-            else_index = self.expect_num()
-            return IfGoto(cond, then_index, else_index)
-        if tok.text == "*":
-            self.advance()
-            target = DerefLhs(Var(self.expect_ident()))
+            return IfGoto(cond, then_index, self.index())
+        if self.accept("*"):
+            target = DerefLhs(self.var())
             self.expect(":=")
             return Assign(target, self.expr())
-        if tok.kind == "IDENT":
-            name = self.expect_ident()
-            self.expect(":=")
-            if self.accept("new"):
-                return New(Var(name))
-            # Could be a call ``x := p(b)`` or a plain assignment.
-            if (
-                self.peek().kind == "IDENT"
-                and self.peek().text not in KEYWORDS
-                and self.tokens[self.pos + 1].text == "("
-            ):
-                proc = self.expect_ident()
-                self.expect("(")
-                arg = self.base_expr()
-                self.expect(")")
-                return Call(Var(name), proc, arg)
-            return Assign(VarLhs(Var(name)), self.expr())
-        raise self.error("expected statement")
+        var = self.var()
+        self.expect(":=")
+        if self.accept("new"):
+            return New(var)
+        # Could be a call ``x := p(b)`` or a plain assignment.
+        if self.peek().kind == "IDENT" and self.tokens[self.pos + 1].text == "(":
+            proc = self.callee()
+            self.expect("(")
+            arg = self.base_expr()
+            self.expect(")")
+            return Call(var, proc, arg)
+        return Assign(self.assign_lhs(var), self.expr())
+
+    def expr(self) -> Expr:
+        if self.accept("*"):
+            return Deref(self.var())
+        if self.accept("&"):
+            return AddrOf(self.var())
+        tok = self.peek()
+        if tok.kind == "IDENT" and tok.text in UNARY_OPS:
+            self.advance()
+            return UnOp(tok.text, self.base_expr())
+        left = self.base_expr()
+        op = self.binary_op()
+        if op is None:
+            return left
+        return BinOp(op, left, self.base_expr())
+
+    # -- leaves ---------------------------------------------------------------
+
+    def var(self) -> Var:
+        return Var(self.expect_ident())
 
     def base_expr(self) -> BaseExpr:
         tok = self.peek()
@@ -217,48 +245,40 @@ class _Parser:
         if tok.kind == "NUM":
             return Const(self.expect_num())
         if tok.kind == "IDENT" and tok.text not in KEYWORDS:
-            return Var(self.expect_ident())
+            return Var(self.advance().text)
         raise self.error("expected base expression (variable or constant)")
 
-    def expr(self) -> Expr:
-        tok = self.peek()
-        if tok.text == "*":
-            self.advance()
-            return Deref(Var(self.expect_ident()))
-        if tok.text == "&":
-            self.advance()
-            return AddrOf(Var(self.expect_ident()))
-        if tok.kind == "IDENT" and tok.text in UNARY_OPS:
-            op = self.advance().text
-            return UnOp(op, self.base_expr())
-        left = self.base_expr()
+    def index(self) -> int:
+        return self.expect_num()
+
+    def binary_op(self) -> Optional[str]:
         if self.peek().text in BINARY_OPS:
-            op = self.advance().text
-            right = self.base_expr()
-            return BinOp(op, left, right)
-        return left
+            return self.advance().text
+        return None
+
+    def callee(self) -> str:
+        return self.expect_ident()
+
+    def assign_lhs(self, var: Var) -> VarLhs:
+        return VarLhs(var)
 
 
 def parse_program(text: str) -> Program:
     """Parse (and validate) a whole program."""
-    return _Parser(text).program()
+    return Parser(text).program()
 
 
 def parse_proc(text: str) -> Procedure:
     """Parse a single procedure without program-level validation."""
-    parser = _Parser(text)
-    proc = parser.procedure()
-    if parser.peek().kind != "EOF":
-        raise parser.error("trailing input after procedure")
+    proc = Parser.parse(text, Parser.procedure)
     proc.validate()
     return proc
 
 
 def parse_stmt(text: str) -> Stmt:
     """Parse a single statement (no trailing semicolon required)."""
-    parser = _Parser(text)
+    parser = Parser(text)
     stmt = parser.statement()
     parser.accept(";")
-    if parser.peek().kind != "EOF":
-        raise parser.error("trailing input after statement")
+    parser.end()
     return stmt

@@ -212,20 +212,19 @@ def _client_options(base: VerifyOptions, payload: dict) -> VerifyOptions:
 
 def _split_blocks(source: str):
     """Parse Cobalt source into (analyses, optimizations)."""
-    from repro.cli import parse_blocks
     from repro.cobalt.dsl import (
         BackwardPattern,
         ForwardPattern,
         Optimization,
         PureAnalysis,
     )
+    from repro.cobalt.parser import parse_blocks
+    from repro.il.parser import ParseError
 
     analyses, optimizations = [], []
     try:
         items = parse_blocks(source)
-    except SystemExit as exc:
-        # The CLI parser aborts via SystemExit; over the wire that is a
-        # client error, not a daemon exit.
+    except ParseError as exc:
         raise WireError(f"unparsable Cobalt source: {exc}") from None
     for item in items:
         if isinstance(item, PureAnalysis):

@@ -159,6 +159,11 @@ class TestCheckOptimization:
         with pytest.raises(ValueError, match="exactly one"):
             check_optimization(CONST_PROP_SRC + CONST_PROP_SRC)
 
+    def test_rejects_malformed_source_with_its_location(self):
+        # A front-end error, not the CLI's SystemExit.
+        with pytest.raises(ValueError, match="line 1, col 34: expected 'followed'"):
+            check_optimization("forward optimization x { garbage }")
+
     def test_rejects_non_optimization(self):
         with pytest.raises(TypeError):
             check_optimization(42)

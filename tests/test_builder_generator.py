@@ -1,68 +1,9 @@
-"""Tests for the programmatic builder and the random program generator."""
+"""Tests for the random program generator."""
 
-import pytest
-
-from repro.il import ProgramBuilder, run_program
-from repro.il.ast import Assign, BinOp, Const, Deref, IfGoto, New, Skip, Var
-from repro.il.builder import ProcBuilder
+from repro.il import run_program
+from repro.il.ast import Assign, BinOp, Deref, New
 from repro.il.generator import GeneratorConfig, ProgramGenerator
 from repro.il.program import Program
-
-
-class TestProcBuilder:
-    def test_labels_resolve_forward_and_backward(self):
-        b = ProgramBuilder()
-        p = b.proc("main", "n")
-        p.decl("s")
-        p.assign("s", 0)
-        p.label("loop")
-        p.assign("s", BinOp("+", Var("s"), Var("n")))
-        p.assign("n", BinOp("-", Var("n"), Const(1)))
-        p.if_goto("n", "loop", "done")
-        p.label("done").ret("s")
-        program = b.build()
-        assert run_program(program, 4) == 10
-
-    def test_goto_sugar(self):
-        b = ProgramBuilder()
-        p = b.proc("main", "n")
-        p.decl("x").assign("x", 1).goto("end")
-        p.assign("x", 2)
-        p.label("end").ret("x")
-        program = b.build()
-        branch = program.main.stmt_at(2)
-        assert isinstance(branch, IfGoto)
-        assert branch.then_index == branch.else_index == 4
-        assert run_program(program, 0) == 1
-
-    def test_pointer_helpers(self):
-        b = ProgramBuilder()
-        p = b.proc("main", "n")
-        p.decl("x").decl("q")
-        p.new("q").store("q", 5)
-        p.assign("x", Deref(Var("q")))
-        p.ret("x")
-        assert run_program(b.build(), 0) == 5
-
-    def test_call_helper(self):
-        b = ProgramBuilder()
-        main = b.proc("main", "n")
-        main.decl("r").call("r", "inc", "n").ret("r")
-        helper = b.proc("inc", "a")
-        helper.decl("t").assign("t", BinOp("+", Var("a"), Const(1))).ret("t")
-        assert run_program(b.build(), 41) == 42
-
-    def test_duplicate_label_rejected(self):
-        p = ProcBuilder("main", "n")
-        p.label("x")
-        with pytest.raises(ValueError):
-            p.label("x")
-
-    def test_undefined_label_rejected(self):
-        p = ProcBuilder("main", "n")
-        p.goto("nowhere").ret("n")
-        with pytest.raises(ValueError):
-            p.build()
 
 
 class TestGenerator:

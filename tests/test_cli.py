@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main, parse_blocks, split_blocks
 from repro.cobalt.dsl import ForwardPattern, PureAnalysis
+from repro.il import ParseError
 
 GOOD_COBALT = """
 forward optimization cliConstProp {
@@ -77,8 +78,40 @@ class TestBlockSplitting:
         assert isinstance(items[1], PureAnalysis)
 
     def test_empty_file_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ParseError, match="no optimization or analysis blocks"):
             split_blocks("// nothing here")
+
+
+class TestMalformedInputFiles:
+    """A syntax error in an input file is one ``FILE:LINE:COL: message``
+    line and exit status 1, never a traceback; an ill-formed program
+    (no location) is ``FILE: message``."""
+
+    @pytest.mark.parametrize("argv,name,text,location", [
+        (["check"], "bad.cobalt",
+         "// two lines of header\nforward optimization x {\n  true until\n}\n",
+         "3:8: expected 'followed' (got 'until')"),
+        (["counterexample"], "bad.cobalt",
+         "forward optimization x { true followed by true until skip => skip"
+         " with witness eta }",
+         "1:84: expected '(' (got '}')"),
+        (["run"], "bad.il", "main(n) {\n  x ::= 1;\n}\n",
+         "2:5: unexpected character ':'"),
+        (["opt"], "bad.il", "main(n) { return n }",
+         "1:20: expected ';' (got '}')"),
+        (["run"], "bad.il", "main(n) { if n goto 9 else 0; return n; }",
+         " main: statement 0 branches to invalid index 9"),
+    ], ids=["check", "counterexample", "run", "opt", "ill-formed-program"])
+    def test_syntax_error_is_one_located_line(self, tmp_path, capsys, argv,
+                                              name, text, location):
+        path = tmp_path / name
+        path.write_text(text)
+        extra = {"run": ["3"], "opt": ["--passes", "constProp"]}
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [str(path)] + extra.get(argv[0], []))
+        assert excinfo.value.code == f"{path}:{location}"
+        # ``opt`` reads its program before proving any pass.
+        assert "[verify]" not in capsys.readouterr().err
 
 
 class TestCheckCommand:

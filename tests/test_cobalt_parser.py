@@ -10,10 +10,12 @@ from repro.cobalt.guards import GAnd, GLabel, GNot, GOr
 from repro.cobalt.labels import standard_registry
 from repro.cobalt.parser import (
     CobaltSyntaxError,
+    parse_blocks,
     parse_guard,
     parse_optimization,
     parse_pure_analysis,
     parse_witness,
+    split_blocks,
 )
 from repro.cobalt.witness import (
     Conj,
@@ -132,6 +134,19 @@ class TestOptimizationParsing:
             parse_optimization(
                 "forward optimization x { true followed by true until skip with witness true }"
             )
+
+
+class TestComments:
+    def test_comment_inside_a_block(self):
+        source = CONST_PROP_SRC.replace(
+            "stmt(Y := C)", "stmt(Y := C) // enabling stmt"
+        ).replace("until", "/* the\n rewrite */ until")
+        assert parse_optimization(source) == parse_optimization(CONST_PROP_SRC)
+
+    def test_header_comment_starts_no_block(self):
+        source = "// a constant propagation analysis\n" + CONST_PROP_SRC
+        assert split_blocks(source) == [CONST_PROP_SRC.strip()]
+        assert parse_blocks(source) == [parse_optimization(CONST_PROP_SRC)]
 
 
 class TestAnalysisParsing:

@@ -2,23 +2,12 @@
 
 import pytest
 
-from repro.il import (
-    BinOp,
-    Const,
-    Interpreter,
-    ProgramBuilder,
-    Var,
-    parse_program,
-    run_program,
-)
+from repro.il import Interpreter, parse_program, run_program
 from repro.il.interp import ExecError, Finished, Next, Stuck
 
 
 def build_simple():
-    b = ProgramBuilder()
-    p = b.proc("main", "n")
-    p.decl("x").assign("x", BinOp("+", Var("n"), Const(1))).ret("x")
-    return b.build()
+    return parse_program("main(n) { decl x; x := n + 1; return x; }")
 
 
 class TestBasicExecution:
@@ -68,13 +57,19 @@ class TestBasicExecution:
         assert run_program(program, 1) == 7
         assert run_program(program, 0) == 9
 
-    def test_unconditional_goto_via_builder(self):
-        b = ProgramBuilder()
-        p = b.proc("main", "n")
-        p.decl("x").assign("x", 5).goto("end")
-        p.assign("x", 6)
-        p.label("end").ret("x")
-        assert run_program(b.build(), 0) == 5
+    def test_unconditional_goto(self):
+        program = parse_program(
+            """
+            main(n) {
+              decl x;
+              x := 5;
+              if 1 goto 4 else 4;
+              x := 6;
+              return x;
+            }
+            """
+        )
+        assert run_program(program, 0) == 5
 
 
 class TestPointers:

@@ -397,9 +397,19 @@ class TestVerificationService:
         with pytest.raises(WireError, match="noSuchPass"):
             service.submit(body)
 
-    def test_unparsable_source_is_refused(self, service):
-        body = envelope("job-request", {"source": "forward optimization x {"})
-        with pytest.raises(WireError, match="unparsable"):
+    @pytest.mark.parametrize("source,message", [
+        ("forward optimization x { true until skip => skip with witness true }",
+         r"line 1, col 31: expected 'followed' \(got 'until'\)"),
+        ("forward optimization x { true followed by true until X := := Y => skip"
+         " with witness true }",
+         "line 1, col 59: expected a base-expression pattern"),
+        ("forward optimization x { true followed by true until skip => skip"
+         " with witness eta is nice }",
+         r"line 1, col 84: expected '\(' \(got 'is'\)"),
+    ], ids=["missing-clause", "bad-pattern-statement", "bad-witness"])
+    def test_unparsable_source_is_refused(self, service, source, message):
+        body = envelope("job-request", {"source": source})
+        with pytest.raises(WireError, match="unparsable Cobalt source: " + message):
             service.submit(body)
 
     def test_client_prover_options_are_honored(self, service):
@@ -574,6 +584,16 @@ class TestHTTP:
         status, _, reply = daemon.request("POST", "/v1/jobs", body=body)
         assert status == 400
         assert "solver_session" in json.loads(reply)["error"]
+
+    def test_malformed_block_is_400_with_the_parser_message(self, daemon):
+        status, _, reply = daemon.post_job(
+            {"source": "forward optimization x { garbage }"}
+        )
+        assert status == 400
+        assert json.loads(reply)["error"] == (
+            "unparsable Cobalt source: line 1, col 34: "
+            "expected 'followed' (got '}')"
+        )
 
     def test_garbage_request_line_is_400(self, daemon):
         with socket.create_connection(("127.0.0.1", daemon.port), 10) as sock:
