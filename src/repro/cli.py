@@ -61,6 +61,7 @@ Every subcommand builds its verification configuration through
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.il import ParseError, parse_program, run_program
@@ -643,7 +644,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader went away (``repro check F | head -1``).  Point stdout
+        # at devnull so the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -57,6 +57,7 @@ from repro.il.ast import (
 )
 from repro.il.cfg import Cfg
 from repro.il.program import Procedure
+from repro.logic.intern import memoized, register_memo
 from repro.cobalt.guards import (
     GAnd,
     GCase,
@@ -194,9 +195,17 @@ class LabelRegistry:
 
     def __init__(self) -> None:
         self.defs: Dict[str, LabelDef] = {}
+        #: Set on the shared :func:`standard_registry`: ``define`` refuses,
+        #: so no caller changes the labels every other caller sees.
+        self.frozen = False
 
     def define(self, label: LabelDef) -> LabelDef:
         name = label.name  # type: ignore[attr-defined]
+        if self.frozen:
+            raise LabelError(
+                f"cannot define {name}: this registry is shared; "
+                "define labels on a copy()"
+            )
         if name in self.defs:
             raise LabelError(f"label {name} already defined")
         self.defs[name] = label
@@ -288,6 +297,11 @@ def _unchanged(args: Tuple[object, ...], ctx: NodeCtx) -> bool:
     return True
 
 
+#: The one standard registry of this process (a registered memo, so
+#: ``structural_reference`` builds a fresh one per call).
+_STANDARD_MEMO: Dict[tuple, LabelRegistry] = register_memo({})
+
+
 def standard_registry() -> LabelRegistry:
     """The label library every optimization in :mod:`repro.opts` builds on.
 
@@ -295,7 +309,16 @@ def standard_registry() -> LabelRegistry:
     conservative ``mayDef``/``mayUse``, ``unchanged``, the ``notTainted``
     semantic label (populated by the taintedness pure analysis), and the
     pointer-aware ``mayDefPT``/``mayUsePT`` from section 2.4.
+
+    Built once per process and shared, hence frozen: a caller that adds
+    labels extends a :meth:`LabelRegistry.copy`.  One shared object is
+    also what lets identity-keyed memos (compiled guards, obligations) hit
+    across checkers and engines.
     """
+    return memoized(_STANDARD_MEMO, 1, (), _build_standard_registry)
+
+
+def _build_standard_registry() -> LabelRegistry:
     reg = LabelRegistry()
 
     reg.define(NativeLabel("usesVar", 1, _uses_var))
@@ -449,4 +472,5 @@ def standard_registry() -> LabelRegistry:
         )
     )
 
+    reg.frozen = True
     return reg

@@ -32,7 +32,9 @@ from __future__ import annotations
 import threading
 import weakref
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+
+T = TypeVar("T")
 
 #: key -> canonical node.  Keys are per-class-tagged structural tuples (see
 #: the ``__new__`` of each node class); values are the nodes themselves.
@@ -167,6 +169,29 @@ def register_memo(memo: dict) -> dict:
     """Register a transformation memo for global clearing; returns it."""
     _MEMOS.append(memo)
     return memo
+
+
+def memoized(memo: dict, cap: int, key: object, compute: Callable[[], T]) -> T:
+    """``compute()``, memoized in the registered ``memo`` under ``key``.
+
+    The pattern every per-process memo outside the term pipeline follows:
+    bypassed while :data:`MEMO_ENABLED` is off, at most ``cap`` entries
+    (cleared on overflow — the daemon keys arbitrary client input), an
+    unhashable key computes with no memo, and a call that raises stores
+    nothing.  Threads racing on one key, or on a clear, only cost a
+    recompute."""
+    if not MEMO_ENABLED:
+        return compute()
+    try:
+        hit = memo.get(key)
+    except TypeError:
+        return compute()
+    if hit is None:
+        hit = compute()
+        if len(memo) >= cap:
+            memo.clear()
+        memo[key] = hit
+    return hit
 
 
 def clear_memos() -> None:

@@ -287,6 +287,13 @@ class _Budget(Exception):
     pass
 
 
+#: Base clauses (and the axiom counter) per axiom tuple: every checker
+#: clausifies the same 196 background axioms, and a daemon builds one
+#: checker per job.  Clauses are immutable, so instances share them.
+_BASE_MEMO: Dict[tuple, Tuple[Tuple[Clause, ...], int]] = intern.register_memo({})
+_BASE_MEMO_MAX = 16
+
+
 class Prover:
     """A reusable prover instance over a fixed axiom set."""
 
@@ -299,7 +306,15 @@ class Prover:
     ) -> None:
         self.constructors = frozenset(constructors)
         self.config = config or ProverConfig()
-        self._base_clauses: List[Clause] = []
+        axioms = tuple(axioms)
+        base, self._axiom_counter = intern.memoized(
+            _BASE_MEMO, _BASE_MEMO_MAX, axioms, lambda: self._clausify_axioms(axioms)
+        )
+        self._base_clauses: List[Clause] = list(base)
+
+    def _clausify_axioms(self, axioms) -> Tuple[Tuple[Clause, ...], int]:
+        """The base clauses of ``axioms`` and the axiom counter after them."""
+        self._base_clauses = []
         self._axiom_counter = 0
         for ax in axioms:
             if isinstance(ax, tuple):
@@ -307,6 +322,7 @@ class Prover:
                 self.add_axiom(formula, origin)
             else:
                 self.add_axiom(ax)
+        return tuple(self._base_clauses), self._axiom_counter
 
     def add_axiom(self, axiom: Union[Formula, Clause], origin: str = "") -> None:
         """Add a background axiom (formula or pre-clausified clause)."""

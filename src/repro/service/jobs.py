@@ -27,7 +27,7 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api import VerifyOptions
 from repro.service.wire import (
@@ -95,6 +95,9 @@ class Job:
         self.result: Optional[dict] = None
         self._events: List[dict] = []
         self._cond = threading.Condition()
+        #: Called once when the job finishes or fails: the job table's
+        #: live-job count (see :class:`_JobTable`).
+        self._on_end: Optional[Callable[[], None]] = None
 
     # -- producer (job runner thread) -----------------------------------
 
@@ -109,16 +112,24 @@ class Job:
         self.emit({"event": "started", "job": self.id})
 
     def finish(self, result: dict) -> None:
+        self._end()
         with self._cond:
             self.result = result
             self.status = JOB_DONE
         self.emit({"event": "done", "job": self.id, "result": result})
 
     def fail(self, message: str) -> None:
+        self._end()
         with self._cond:
             self.error = message
             self.status = JOB_ERROR
         self.emit({"event": "error", "job": self.id, "error": message})
+
+    def _end(self) -> None:
+        with self._cond:  # take the callback, so it runs at most once
+            on_end, self._on_end = self._on_end, None
+        if on_end is not None:
+            on_end()
 
     # -- consumer (HTTP handlers) ---------------------------------------
 
@@ -169,6 +180,31 @@ class Job:
             if self.result is not None:
                 data["result"] = self.result
             return data
+
+
+class _JobTable(Dict[str, Job]):
+    """The service's job map, which counts its live (unfinished) jobs.
+
+    Inserting a live job counts it and hands the job a callback that
+    uncounts it when it finishes or fails, so neither submission's
+    overload check nor ``/v1/stats`` scans the map.  Only finished jobs
+    are ever deleted.  Mutated under the service's job lock, which the
+    callback also takes."""
+
+    def __init__(self, lock: threading.Lock) -> None:
+        super().__init__()
+        self.live = 0
+        self._lock = lock
+
+    def __setitem__(self, job_id: str, job: Job) -> None:
+        super().__setitem__(job_id, job)
+        if not job.finished:
+            self.live += 1
+            job._on_end = self._ended
+
+    def _ended(self) -> None:
+        with self._lock:
+            self.live -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +335,8 @@ class VerificationService:
         self._pool = None
         self._pool_failed = False
         self._pool_lock = threading.Lock()
-        self._jobs: Dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
+        self._jobs = _JobTable(self._jobs_lock)
         self._max_jobs_kept = max_jobs_kept
         if max_live_jobs is None:
             max_live_jobs = max(1, max_concurrent_jobs) * 8
@@ -339,7 +375,7 @@ class VerificationService:
             )
         job = Job(uuid.uuid4().hex, "suite")
         with self._jobs_lock:
-            live = sum(1 for j in self._jobs.values() if not j.finished)
+            live = self._jobs.live
             if live >= self._max_live_jobs:
                 raise ServiceOverloadedError(
                     f"{live} live job(s) already queued or running; "
@@ -414,9 +450,7 @@ class VerificationService:
                 "submitted": self.stats.jobs_submitted,
                 "completed": self.stats.jobs_completed,
                 "failed": self.stats.jobs_failed,
-                "live": sum(
-                    1 for j in self._jobs.values() if not j.finished
-                ),
+                "live": self._jobs.live,
             }
         return {
             "backend": self.options.backend,

@@ -193,31 +193,13 @@ def _digest_update(h, obj, seen: Dict[int, int]) -> None:
 #: so a hit is one dict probe and returns the digest a fresh walk computes;
 #: keys are unchanged.  (An un-interned impostor compares structurally and
 #: so gets its interned twin's key.)  A warm ``repro serve`` job otherwise
-#: spends most of its time re-walking the same axioms and goals.  Bounded by clear-on-overflow (the daemon keys
-#: arbitrary client source) and registered with the intern module, so
-#: :func:`repro.logic.intern.clear_memos` and ``structural_reference``
-#: clear or bypass them.  A racing clear only costs a recompute.
+#: spends most of its time re-walking the same axioms and goals.  Both are
+#: bounded, registered memos (:func:`repro.logic.intern.memoized`), so
+#: ``clear_memos`` and ``structural_reference`` clear or bypass them.
 _DIGEST_MEMO: Dict[tuple, str] = _intern.register_memo({})
 _DIGEST_MEMO_MAX = 64
 _KEY_MEMO: Dict[tuple, str] = _intern.register_memo({})
 _KEY_MEMO_MAX = 1 << 14
-
-
-def _memoized(memo: Dict[tuple, str], cap: int, key: tuple, compute) -> str:
-    """``compute()``, memoized in ``memo`` under ``key`` (at most ``cap``
-    entries); unhashable keys are computed with no memo."""
-    if not _intern.MEMO_ENABLED:
-        return compute()
-    try:
-        hit = memo.get(key)
-    except TypeError:
-        return compute()
-    if hit is None:
-        hit = compute()
-        if len(memo) >= cap:
-            memo.clear()
-        memo[key] = hit
-    return hit
 
 
 def axioms_digest(axioms: Sequence[object], constructors: Sequence[str] = ()) -> str:
@@ -243,7 +225,7 @@ def axioms_digest(axioms: Sequence[object], constructors: Sequence[str] = ()) ->
             h.update(b"\n")
         return h.hexdigest()
 
-    return _memoized(_DIGEST_MEMO, _DIGEST_MEMO_MAX, (formulas, ctors), compute)
+    return _intern.memoized(_DIGEST_MEMO, _DIGEST_MEMO_MAX, (formulas, ctors), compute)
 
 
 def obligation_key(obligation, axiom_digest: str) -> str:
@@ -281,7 +263,7 @@ def obligation_key(obligation, axiom_digest: str) -> str:
             h.update(b"\n")
         return h.hexdigest()
 
-    return _memoized(
+    return _intern.memoized(
         _KEY_MEMO, _KEY_MEMO_MAX, (goal, seeds, split_term, axiom_digest), compute
     )
 

@@ -38,11 +38,10 @@ from repro.prover import Prover, ProverConfig, ProverStats, Result
 from repro.verify.cache import (
     CachedVerdict,
     ProofCache,
-    axioms_digest,
     config_fingerprint,
     obligation_key,
 )
-from repro.verify.encode import CONSTRUCTORS, all_axioms
+from repro.verify.encode import CONSTRUCTORS, all_axioms, all_axioms_digest
 from repro.verify.obligations import Obligation, ObligationBuilder
 
 
@@ -270,9 +269,8 @@ class SoundnessChecker:
             a.label_name: a for a in analyses
         }
         self.config = config if config is not None else options.prover_config()
-        axioms = all_axioms()
         self._prover = Prover(
-            axioms, constructors=CONSTRUCTORS, config=self.config
+            all_axioms(), constructors=CONSTRUCTORS, config=self.config
         )
         self._analysis_cache: Dict[str, SoundnessReport] = {}
         if proof_cache is not None and not isinstance(proof_cache, ProofCache):
@@ -307,7 +305,7 @@ class SoundnessChecker:
             options.backend_spec(), self.config, prover=self._prover
         )
         self._backend_id = self.backend.identity()
-        self._axiom_digest = axioms_digest(axioms, CONSTRUCTORS)
+        self._axiom_digest = all_axioms_digest()
         # The hard wall-clock limit participates in the fingerprint: a
         # hard-timeout verdict is an ``unknown`` manufactured by this limit,
         # so it must not replay for callers running under a different one.

@@ -31,7 +31,7 @@ paper's proof.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.formulas import (
     And,
@@ -46,6 +46,7 @@ from repro.logic.formulas import (
     conj,
     disj,
 )
+from repro.logic.intern import memoized, register_memo
 from repro.logic.terms import App, IntConst, LVar, Term, mk
 
 # ---------------------------------------------------------------------------
@@ -1278,6 +1279,22 @@ def all_axioms() -> List[Formula]:
             + uses_axioms()
         )
     return list(_ALL_AXIOMS)
+
+
+#: The proof cache's digest of the background theory (a registered memo,
+#: so ``structural_reference`` recomputes it).
+_DIGEST_MEMO: Dict[tuple, str] = register_memo({})
+
+
+def all_axioms_digest() -> str:
+    """``axioms_digest(all_axioms(), CONSTRUCTORS)``: the background
+    theory's part of every obligation key, computed once per process
+    alongside the axioms."""
+    from repro.verify.cache import axioms_digest
+
+    return memoized(
+        _DIGEST_MEMO, 1, (), lambda: axioms_digest(all_axioms(), CONSTRUCTORS)
+    )
 
 
 def kind_exhaustiveness(term: Term, kind_fn: str, tags: Sequence[Term]) -> Formula:

@@ -50,6 +50,7 @@ from repro.logic.formulas import (
     conj,
     disj,
 )
+from repro.logic.intern import memoized, register_memo
 from repro.logic.terms import App, IntConst, Term, mk
 from repro.cobalt.dsl import BackwardPattern, Computed, ForwardPattern, PureAnalysis
 from repro.cobalt.guards import guard_leaves
@@ -134,26 +135,10 @@ def step_conclusion(eta: Term, eta2: Term, pi: Term) -> Formula:
     return conj(tuple(step_premises(eta, eta2, pi)))
 
 
-_SEEDS_MEMO: Dict[Term, Tuple[Formula, ...]] = {}
-
-
 def seeds_for(s_term: Term) -> List[Formula]:
     """Ground kind-exhaustiveness instances for a statement term and its
     projections (the case-split seeds).  The projection seeds are guarded by
-    the statement kind so DPLL only splits on them when relevant.
-
-    Memoized per (interned) statement term: the obligation builders call
-    this with the same handful of program points for every pattern, and the
-    seed formulas are immutable."""
-    cached = _SEEDS_MEMO.get(s_term)
-    if cached is not None:
-        return list(cached)
-    seeds = _seeds_for_compute(s_term)
-    _SEEDS_MEMO[s_term] = tuple(seeds)
-    return seeds
-
-
-def _seeds_for_compute(s_term: Term) -> List[Formula]:
+    the statement kind so DPLL only splits on them when relevant."""
     return [
         E.kind_exhaustiveness(s_term, "stmtKind", E.STMT_KINDS),
         Implies(
@@ -173,6 +158,13 @@ def _seeds_for_compute(s_term: Term) -> List[Formula]:
             E.kind_exhaustiveness(mk("callArg", s_term), "exprKind", E.EXPR_KINDS),
         ),
     ]
+
+
+#: Obligation tuples per ``(builder method, item, id(registry), meanings)``
+#: (see ``ObligationBuilder._memoized``); bounded and registered like the
+#: key memos of :mod:`repro.verify.cache`.
+_OBLIGATION_MEMO: Dict[tuple, tuple] = register_memo({})
+_OBLIGATION_MEMO_MAX = 1 << 10
 
 
 class ObligationBuilder:
@@ -232,9 +224,38 @@ class ObligationBuilder:
                 raise TranslationError(f"unknown side-condition premise {cond.premise!r}")
         return out
 
-    # -- forward (4.2) ----------------------------------------------------------
+    # -- the per-process memo -------------------------------------------------
+
+    def _memoized(self, build, item) -> List[Obligation]:
+        """``build(item)`` as a fresh list, memoized per process.
+
+        Obligations are a pure function of the item, the registry's labels
+        and the semantic meanings, which is exactly the key: the frozen
+        item compared structurally (a re-parsed ``source`` block hits),
+        the registry by identity (pinned in the value, as the compiled
+        guard caches do: a registry extended after a hit is only reached
+        through a call that raised, and raising calls store nothing), and
+        the meanings in name order."""
+        meanings = tuple(sorted(self.semantic_meanings.items()))
+        key = (build.__name__, item, id(self.registry), meanings)
+        _registry, obligations = memoized(
+            _OBLIGATION_MEMO, _OBLIGATION_MEMO_MAX, key,
+            lambda: (self.registry, tuple(build(item))),
+        )
+        return list(obligations)
 
     def forward_obligations(self, pattern: ForwardPattern) -> List[Obligation]:
+        return self._memoized(self._forward, pattern)
+
+    def backward_obligations(self, pattern: BackwardPattern) -> List[Obligation]:
+        return self._memoized(self._backward, pattern)
+
+    def analysis_obligations(self, analysis: PureAnalysis) -> List[Obligation]:
+        return self._memoized(self._analysis, analysis)
+
+    # -- forward (4.2) ----------------------------------------------------------
+
+    def _forward(self, pattern: ForwardPattern) -> List[Obligation]:
         vm = self._varmap(pattern)
         tr = self._translator(vm)
         s_at = E.stmt_at(PI, E.s_index(ETA))
@@ -285,7 +306,7 @@ class ObligationBuilder:
 
     # -- backward (4.3) ---------------------------------------------------------
 
-    def backward_obligations(self, pattern: BackwardPattern) -> List[Obligation]:
+    def _backward(self, pattern: BackwardPattern) -> List[Obligation]:
         vm = self._varmap(pattern)
         tr = self._translator(vm)
 
@@ -459,7 +480,7 @@ class ObligationBuilder:
 
     # -- pure analyses (2.4 / 4.2) -------------------------------------------------
 
-    def analysis_obligations(self, analysis: PureAnalysis) -> List[Obligation]:
+    def _analysis(self, analysis: PureAnalysis) -> List[Obligation]:
         vm = VarMap()
         leaves = guard_leaves(analysis.psi1) | guard_leaves(analysis.psi2)
         for a in analysis.label_args:

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main, parse_blocks, split_blocks
@@ -128,6 +132,30 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "REJECTED" in out
         assert "counterexample context" in out
+
+
+    def test_closed_pipe_ends_quietly(self, tmp_path):
+        """``repro check FILE | head -1``: once the reader closes the pipe
+        the next report's write fails, and the CLI exits without a
+        traceback.  Unbuffered output and a proof per block make that
+        write come after the close."""
+        blocks = [GOOD_COBALT.replace("cliConstProp", f"cliConstProp{i}")
+                  .replace("cliTaint", f"cliTaint{i}") for i in range(4)]
+        path = tmp_path / "many.cobalt"
+        path.write_text("".join(blocks))
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "check", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"cliConstProp0: SOUND")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.wait(120)
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+        assert proc.returncode == 1
 
 
 class TestWitnessInference:

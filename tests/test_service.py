@@ -443,6 +443,21 @@ class TestVerificationService:
             del svc._jobs["blocker"]
             svc.shutdown()
 
+    def test_live_count_follows_job_ends(self):
+        svc = VerificationService(FAST)
+        try:
+            job = svc.submit(envelope("job-request", {"optimizations": []}))
+            assert job.wait(timeout=60)
+            assert svc.stats_wire()["jobs"]["live"] == 0
+            other = Job("other", "suite")
+            svc._jobs["other"] = other
+            assert svc.stats_wire()["jobs"]["live"] == 1
+            other.fail("first")
+            other.fail("second")  # ends count once
+            assert svc.stats_wire()["jobs"]["live"] == 0
+        finally:
+            svc.shutdown()
+
     def test_warm_network_replay_is_one_round_trip(self, tmp_path):
         # Populate a store locally, serve it from a second daemon's
         # /v1/cache routes, and point a daemon with NO local cache at it:
