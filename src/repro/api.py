@@ -113,16 +113,8 @@ class VerifyOptions:
     #: obligation-level process-pool width (1 = serial)
     jobs: int = 1
     #: persistent proof-cache directory (the sharded CAS) — the L1 tier
-    #: (docs/CACHING.md); a file path is refused.  ``serve`` also serves it
-    #: to other machines as their L2 tier.
+    #: (docs/CACHING.md); a file path is refused.
     cache_dir: Optional[str] = None
-    #: ``repro serve`` daemon(s) whose proof cache is the L2 tier: one URL,
-    #: a comma-separated string, or a tuple of URLs (sharded by digest
-    #: prefix).  Strictly fail-open: an unreachable daemon never fails or
-    #: slows a verification beyond ``cache_timeout_s`` per attempt.
-    cache_url: Optional[Union[str, Tuple[str, ...]]] = None
-    #: hard per-request timeout for the network cache tier
-    cache_timeout_s: float = 2.0
     #: hard per-obligation wall-clock limit for pool workers
     obligation_timeout_s: Optional[float] = None
     prover: ProverOptions = ProverOptions()
@@ -138,15 +130,6 @@ class VerifyOptions:
             )
         elif self.solver_cmd is not None and not isinstance(self.solver_cmd, tuple):
             object.__setattr__(self, "solver_cmd", tuple(self.solver_cmd))
-        if isinstance(self.cache_url, str):
-            object.__setattr__(
-                self,
-                "cache_url",
-                tuple(u.strip() for u in self.cache_url.split(",") if u.strip())
-                or None,
-            )
-        elif self.cache_url is not None and not isinstance(self.cache_url, tuple):
-            object.__setattr__(self, "cache_url", tuple(self.cache_url))
 
     def backend_spec(self) -> BackendSpec:
         return BackendSpec(
@@ -366,10 +349,6 @@ def verify_suite(
         analyses = suite.ALL_ANALYSES
     if optimizations is None:
         optimizations = suite.ALL_OPTIMIZATIONS
-    if checker.cache is not None:
-        # One batched multi-GET against the network tier for the whole
-        # suite's obligation keys (no-op without a remote).
-        checker.prefetch_suite(analyses, optimizations)
     out = SuiteReport(backend=checker.backend.identity(), cache=checker.cache)
     start = _time.monotonic()
     for analysis in analyses:

@@ -7,10 +7,10 @@ Usage (also via ``python -m repro``)::
                  [--iterate] [--trust] [--engine-stats]
     repro-cobalt run PROGRAM.il ARG
     repro-cobalt counterexample FILE.cobalt
-    repro-cobalt [--jobs N] [--cache-dir DIR] [--cache-url URL] suite
-    repro-cobalt [--jobs N] [--cache-dir DIR] [--cache-url URL] verify
+    repro-cobalt [--jobs N] [--cache-dir DIR] suite
+    repro-cobalt [--jobs N] [--cache-dir DIR] verify
     repro-cobalt [--jobs N] [--cache-dir DIR] serve [--host H] [--port N]
-    repro-cobalt cache stats [--dir DIR | --url URL]
+    repro-cobalt cache stats [--dir DIR]
     repro-cobalt cache gc [--dir DIR] [--drop-failures] [--max-age-days N]
 
 * ``check`` parses every optimization/analysis block in a Cobalt source
@@ -28,24 +28,25 @@ Usage (also via ``python -m repro``)::
 * ``serve`` runs the verification daemon (docs/SERVICE.md): an asyncio
   HTTP/JSON service over the same façade, proving each obligation once
   across concurrent requests through one shared proof cache.  With
-  ``--cache-dir DIR`` it also serves DIR as the network proof cache.
+  ``--cache-dir DIR`` that cache persists in DIR.
 
 The global ``--jobs N`` flag fans proof obligations out across N worker
 processes; ``--cache-dir DIR`` persists verdicts in a sharded
 content-addressed store so unchanged optimizations re-verify in
-milliseconds, and ``--cache-url URL`` additionally consults (and feeds) the
-proof cache of a ``repro-cobalt --cache-dir DIR serve`` daemon —
-strictly fail-open, see docs/CACHING.md.  ``--backend internal|smtlib|portfolio`` selects the
-prover backend — the in-process prover, SMT-LIB2 sent to an external
-solver process over stdin (``--solver-cmd`` overrides auto-discovery of
-z3/cvc5), or a per-obligation race of the two (docs/BACKENDS.md).
+milliseconds (docs/CACHING.md); to share proofs across machines, submit
+jobs to one ``repro-cobalt --cache-dir DIR serve`` daemon.
+``--backend internal|smtlib|portfolio`` selects the prover backend — the
+in-process prover, SMT-LIB2 sent to an external solver process over stdin
+(``--solver-cmd`` overrides auto-discovery of z3/cvc5), or a
+per-obligation race of the two (docs/BACKENDS.md).
 ``--max-session-queries N`` is how many obligation cases one solver
 process serves (default 1, a fresh process per case; 0 = never
 recycle).  The deprecated ``--prover`` alias and the ``--prover-mode``,
-``--kernel``, ``--engine`` and ``--solver-session`` switches were removed
-— see the migration tables in docs/SERVICE.md and docs/BACKENDS.md.  ``--json`` on ``suite``,
-``verify``, ``fuzz``, and ``cache stats`` emits the daemon's versioned
-wire schema on stdout instead of the human table.  ``--prover-stats``
+``--kernel``, ``--engine``, ``--solver-session``, ``--cache-url`` and
+``--cache-timeout`` switches were removed — see the migration tables in
+docs/SERVICE.md, docs/CACHING.md and docs/BACKENDS.md.  ``--json`` on
+``suite``, ``verify``, ``fuzz``, and ``cache stats`` emits the daemon's
+versioned wire schema on stdout instead of the human table.  ``--prover-stats``
 prints the prover's observability counters to stderr (see docs/PROVER.md),
 including the active kernel identity and its structural-visit count, the
 hash-consing metrics — intern-table size, constructor hit rate, and the
@@ -90,8 +91,6 @@ def build_verify_options(args):
         max_session_queries=args.max_session_queries,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        cache_url=args.cache_url,
-        cache_timeout_s=args.cache_timeout,
         prover=ProverOptions(timeout_s=args.timeout),
     )
 
@@ -335,8 +334,6 @@ def cmd_suite(args) -> int:
     cache = suite_report.cache
     if cache is not None:
         summary += f"; proof cache: {cache.stats} ({cache.location()})"
-        if cache.remote is not None:
-            summary += f"; L2: {cache.remote.stats}"
     print(summary, file=sys.stderr)
     if args.json:
         from repro.service.wire import dumps
@@ -363,33 +360,6 @@ def cmd_serve(args) -> int:
 def cmd_cache_stats(args) -> int:
     from repro.verify.cache import SCHEMA_VERSION
 
-    if args.url:
-        from repro.verify.netcache import CacheClient
-
-        client = CacheClient(args.url, timeout_s=args.cache_timeout)
-        status = 0
-        daemons = []
-        for url, payload in client.fetch_stats():
-            if payload is None:
-                daemons.append({"url": url, "reachable": False})
-                if not args.json:
-                    print(f"{url}: unreachable")
-                status = 1
-            else:
-                daemons.append({
-                    "url": url,
-                    "reachable": True,
-                    "objects": payload.get("objects"),
-                    "schema": payload.get("schema"),
-                })
-                if not args.json:
-                    print(f"{url}: {payload.get('objects', '?')} object(s), "
-                          f"schema v{payload.get('schema', '?')}")
-        if args.json:
-            from repro.service.wire import dumps, envelope
-
-            print(dumps(envelope("cache-stats", {"daemons": daemons})))
-        return status
     from repro.verify.cas import ShardedStore
 
     store = ShardedStore(args.dir, SCHEMA_VERSION)
@@ -473,16 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="persist proof verdicts in DIR (a sharded "
                              "content-addressed store) so unchanged "
                              "optimizations re-verify from cache")
-    parser.add_argument("--cache-url", default=None, metavar="URL",
-                        help="consult (and feed) a networked proof-cache "
-                             "daemon — comma-separate several URLs to shard "
-                             "by digest prefix; strictly fail-open: an "
-                             "unreachable daemon never fails a run "
-                             "(any 'repro-cobalt --cache-dir DIR serve')")
-    parser.add_argument("--cache-timeout", type=float, default=2.0,
-                        metavar="S",
-                        help="per-request timeout for the network cache "
-                             "tier (default: 2s)")
     parser.add_argument("--backend",
                         choices=("internal", "smtlib", "portfolio"),
                         default="internal",
@@ -614,14 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
 
     q = cache_sub.add_parser("stats",
-                             help="object counts for a cache directory or "
-                                  "a running daemon")
+                             help="object count of a cache directory")
     q.add_argument("--dir", default=".proof-cache", metavar="DIR",
                    type=_cache_dir_arg,
                    help="cache directory to inspect (default: .proof-cache)")
-    q.add_argument("--url", default=None, metavar="URL",
-                   help="ask a running daemon instead of reading a "
-                        "directory (comma-separate several)")
     q.add_argument("--json", action="store_true",
                    help="emit the stats as one wire-schema JSON document "
                         "on stdout")

@@ -60,6 +60,7 @@ FORBIDDEN_OPTION_FIELDS = frozenset({
     "max_session_queries",
     "jobs",
     "cache_dir",
+    # the removed network cache tier: still refused, like solver_session
     "cache_url",
     "cache_timeout_s",
 })
@@ -95,9 +96,9 @@ class Job:
         self.result: Optional[dict] = None
         self._events: List[dict] = []
         self._cond = threading.Condition()
-        #: Called once when the job finishes or fails: the job table's
-        #: live-job count (see :class:`_JobTable`).
-        self._on_end: Optional[Callable[[], None]] = None
+        #: Called once, in registration order, when the job finishes or
+        #: fails (see :meth:`add_end_listener`).
+        self._end_listeners: List[Callable[[], None]] = []
 
     # -- producer (job runner thread) -----------------------------------
 
@@ -112,24 +113,39 @@ class Job:
         self.emit({"event": "started", "job": self.id})
 
     def finish(self, result: dict) -> None:
-        self._end()
-        with self._cond:
-            self.result = result
-            self.status = JOB_DONE
-        self.emit({"event": "done", "job": self.id, "result": result})
+        self._end(JOB_DONE, {"event": "done", "job": self.id, "result": result},
+                  result=result)
 
     def fail(self, message: str) -> None:
-        self._end()
-        with self._cond:
-            self.error = message
-            self.status = JOB_ERROR
-        self.emit({"event": "error", "job": self.id, "error": message})
+        self._end(JOB_ERROR, {"event": "error", "job": self.id, "error": message},
+                  error=message)
 
-    def _end(self) -> None:
-        with self._cond:  # take the callback, so it runs at most once
-            on_end, self._on_end = self._on_end, None
-        if on_end is not None:
-            on_end()
+    def _end(self, status: str, event: dict, *, result: Optional[dict] = None,
+             error: Optional[str] = None) -> None:
+        with self._cond:
+            # The listeners run before the end is visible, under the lock
+            # every reader takes: the job table's live count has dropped by
+            # the time anyone sees the job finished.
+            listeners, self._end_listeners = self._end_listeners, []
+            for listener in listeners:
+                listener()
+            self.result = result
+            self.error = error
+            self.status = status
+            self._events.append(event)
+            self._cond.notify_all()
+
+    def add_end_listener(self, listener: Callable[[], None]) -> bool:
+        """Call ``listener`` once when the job ends; False (and no call)
+        when it has already ended.
+
+        Listeners run on the thread that ends the job, under the job's
+        lock, so they must be quick and must not touch the job."""
+        with self._cond:
+            if self.finished:
+                return False
+            self._end_listeners.append(listener)
+            return True
 
     # -- consumer (HTTP handlers) ---------------------------------------
 
@@ -185,11 +201,13 @@ class Job:
 class _JobTable(Dict[str, Job]):
     """The service's job map, which counts its live (unfinished) jobs.
 
-    Inserting a live job counts it and hands the job a callback that
+    Inserting a live job counts it and registers an end listener that
     uncounts it when it finishes or fails, so neither submission's
     overload check nor ``/v1/stats`` scans the map.  Only finished jobs
     are ever deleted.  Mutated under the service's job lock, which the
-    callback also takes."""
+    listener also takes.  The listener holds the job's lock when it takes
+    the job lock, and insertion nests them the other way round; that
+    cannot deadlock, because a job is inserted before it runs."""
 
     def __init__(self, lock: threading.Lock) -> None:
         super().__init__()
@@ -198,9 +216,8 @@ class _JobTable(Dict[str, Job]):
 
     def __setitem__(self, job_id: str, job: Job) -> None:
         super().__setitem__(job_id, job)
-        if not job.finished:
+        if job.add_end_listener(self._ended):
             self.live += 1
-            job._on_end = self._ended
 
     def _ended(self) -> None:
         with self._lock:
@@ -319,19 +336,10 @@ class VerificationService:
         self.options = options or VerifyOptions()
         self.stats = ServiceStats()
         # One proof cache shared by every job's checker: L0 and its claims
-        # dedupe across requests in-process, L1/L2 exactly as a local
-        # checker would.  Always at least a memory L0 — the daemon's whole
-        # point is not re-proving what another request proved.
-        remote = None
-        if self.options.cache_url:
-            from repro.verify.netcache import CacheClient
-
-            remote = CacheClient(
-                self.options.cache_url, timeout_s=self.options.cache_timeout_s
-            )
-        self.cache: ProofCache = ProofCache(
-            self.options.cache_dir, remote=remote
-        )
+        # dedupe across requests in-process, L1 exactly as a local checker
+        # would.  Always at least a memory L0 — the daemon's whole point is
+        # not re-proving what another request proved.
+        self.cache: ProofCache = ProofCache(self.options.cache_dir)
         self._pool = None
         self._pool_failed = False
         self._pool_lock = threading.Lock()
@@ -467,7 +475,6 @@ class VerificationService:
                 "hits": cs.hits,
                 "misses": cs.misses,
                 "stores": cs.stores,
-                "remote_hits": cs.remote_hits,
                 "entries": len(self.cache),
             },
         }

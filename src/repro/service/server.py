@@ -3,26 +3,23 @@
 The stdlib has no asyncio HTTP server, so this module speaks just enough
 HTTP/1.1 over :func:`asyncio.start_server` for the service's routes:
 
-================================== =========================================
-``GET /v1/healthz``                liveness probe
-``GET /v1/stats``                  search/cache/job/rate-limit counters
-``POST /v1/jobs``                  submit a ``job_request`` envelope (rate
-                                   limited); ``"wait": true`` blocks for the
-                                   final report
-``GET /v1/jobs/<id>``              poll one job (status + result when done)
-``GET /v1/jobs/<id>/events``       chunked ndjson stream of the job's events
-``POST /v1/cache/v<N>/multi-get``  the L2 proof cache over the daemon's own
-``POST /v1/cache/v<N>/multi-put``  ``--cache-dir`` store (404 without one, or
-``GET /v1/cache/v<N>/stats``       for another cache schema ``N``); client:
-                                   :mod:`repro.verify.netcache`
-================================== =========================================
+============================== =============================================
+``GET /v1/healthz``            liveness probe
+``GET /v1/stats``              search/cache/job/rate-limit counters
+``POST /v1/jobs``              submit a ``job_request`` envelope (rate
+                               limited); ``"wait": true`` answers with the
+                               final report
+``GET /v1/jobs/<id>``          poll one job (status + result when done)
+``GET /v1/jobs/<id>/events``   chunked ndjson stream of the job's events
+============================== =============================================
 
 Design rules:
 
 * The event loop only ever parses HTTP and shuffles bytes.  Everything
   that can block — request validation, job execution, waiting on job
-  events, proof-cache store reads and writes — happens on worker threads
-  (the service's job pool, or ``asyncio.to_thread`` bridges).
+  events — happens on worker threads (the service's job pool, or
+  ``asyncio.to_thread`` bridges).  A ``"wait": true`` submission holds no
+  thread at all: it awaits a loop future that the job's end resolves.
 * Malformed input is a *response*, never an exception escaping the
   handler: oversized request lines and bodies get 413, unparsable JSON
   and wire-schema violations get 400, and the connection is closed
@@ -39,7 +36,6 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -47,9 +43,6 @@ from repro.api import VerifyOptions
 from repro.service.jobs import Job, ServiceOverloadedError, VerificationService
 from repro.service.ratelimit import RateLimiter
 from repro.service.wire import WIRE_VERSION, WireError, dumps, envelope
-from repro.verify.cache import SCHEMA_VERSION as CACHE_SCHEMA, CachedVerdict
-from repro.verify.cas import ShardedStore
-from repro.verify.netcache import CACHE_ROUTE_PREFIX
 
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_BYTES = 32 * 1024
@@ -61,13 +54,6 @@ DEFAULT_MAX_BODY = 8 * 1024 * 1024
 #: rotating the header cannot mint more than this many budgets' worth of
 #: fresh tokens from one address.
 ADDR_BUDGET_FACTOR = 8
-
-#: Cap on concurrently *blocked* ``"wait": true`` submissions.  Each one
-#: parks a thread for the job's whole runtime, so they get a dedicated
-#: bounded pool — never the shared ``asyncio.to_thread`` executor that
-#: serves every event-stream bridge and submit validation.  Beyond the
-#: cap the job is still accepted, just answered 202 for polling.
-DEFAULT_MAX_WAITERS = 32
 
 _REASONS = {
     200: "OK",
@@ -118,7 +104,6 @@ class ServiceServer:
         rate: float = 10.0,
         burst: float = 20.0,
         max_body_bytes: int = DEFAULT_MAX_BODY,
-        max_waiters: int = DEFAULT_MAX_WAITERS,
         service: Optional[VerificationService] = None,
         limiter: Optional[RateLimiter] = None,
     ) -> None:
@@ -130,20 +115,10 @@ class ServiceServer:
             max_concurrent_jobs=max_concurrent_jobs,
         )
         self.limiter = limiter if limiter is not None else RateLimiter(rate, burst)
-        # The L2 proof cache this daemon serves: its own --cache-dir store.
-        cache_dir = self.service.options.cache_dir
-        self.store: Optional[ShardedStore] = (
-            ShardedStore(cache_dir, CACHE_SCHEMA) if cache_dir else None
-        )
         # The per-address aggregate behind the per-client buckets: a client
         # rotating X-Repro-Client values still drains this one.
         self._addr_limiter = RateLimiter(
             rate * ADDR_BUDGET_FACTOR, burst * ADDR_BUDGET_FACTOR
-        )
-        self._max_waiters = max(1, int(max_waiters))
-        self._waiters = 0  # touched only on the event loop
-        self._wait_pool = ThreadPoolExecutor(
-            max_workers=self._max_waiters, thread_name_prefix="repro-wait"
         )
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopping: Optional[asyncio.Event] = None
@@ -166,8 +141,6 @@ class ServiceServer:
             await self._stopping.wait()
         # Drain jobs and release the pool off-loop (shutdown blocks).
         await asyncio.to_thread(self.service.shutdown)
-        # All jobs are finished now, so parked waiters have returned.
-        self._wait_pool.shutdown(wait=False)
 
     def request_stop(self) -> None:
         """Shutdown trigger, safe from signal handlers and foreign threads.
@@ -331,67 +304,8 @@ class ServiceServer:
             else:
                 await self._poll(rest, writer)
             return
-        if path.startswith(CACHE_ROUTE_PREFIX + "/"):
-            await self._cache(method, path[len(CACHE_ROUTE_PREFIX):], body,
-                              writer)
-            return
         writer.write(_error(404, f"no such route: {path}"))
         await writer.drain()
-
-    async def _cache(self, method, route, body, writer) -> None:
-        """One L2 proof-cache request; the store is touched off-loop."""
-        handlers = {
-            f"/v{CACHE_SCHEMA}/multi-get": ("POST", self._cache_multi_get),
-            f"/v{CACHE_SCHEMA}/multi-put": ("POST", self._cache_multi_put),
-            f"/v{CACHE_SCHEMA}/stats": ("GET", self._cache_stats),
-        }
-        verb, handler = handlers.get(route, (None, None))
-        if self.store is None or handler is None:
-            # No --cache-dir, another cache schema, or an unknown op: the
-            # client reads a 404 as honest misses, never as a fault.
-            writer.write(_error(404, f"no proof cache at /v1/cache{route}"))
-        elif method != verb:
-            writer.write(_error(405, f"use {verb}"))
-        else:
-            try:
-                data = json.loads(body.decode("utf-8")) if body else {}
-                payload = await asyncio.to_thread(handler, data)
-            except ValueError as exc:  # bad UTF-8, JSON, or body shape
-                writer.write(_error(400, f"bad cache request: {exc}"))
-            else:
-                writer.write(_response(200, payload))
-        await writer.drain()
-
-    def _cache_multi_get(self, data) -> dict:
-        keys = data.get("keys") if isinstance(data, dict) else None
-        if not isinstance(keys, list):
-            raise ValueError('body must be {"keys": [...]}')
-        entries = {}
-        for key in keys:
-            entry = self.store.get(key)  # None for unsafe keys too
-            if entry is not None:
-                entries[key] = entry
-        return {"schema": CACHE_SCHEMA, "entries": entries}
-
-    def _cache_multi_put(self, data) -> dict:
-        entries = data.get("entries") if isinstance(data, dict) else None
-        if not isinstance(entries, dict):
-            raise ValueError('body must be {"entries": {...}}')
-        stored = 0
-        for key, entry in entries.items():
-            # Store only what parses as a verdict, in its normal form: a
-            # malformed entry (say, a non-boolean "proved") must never be
-            # replayed by a later reader.
-            try:
-                verdict = CachedVerdict.from_json(entry)
-            except (KeyError, TypeError, ValueError):
-                continue
-            if self.store.put(key, verdict.to_json()):
-                stored += 1
-        return {"schema": CACHE_SCHEMA, "stored": stored}
-
-    def _cache_stats(self, _data) -> dict:
-        return {"schema": CACHE_SCHEMA, "objects": self.store.count()}
 
     def _stats_payload(self) -> dict:
         stats = self.service.stats_wire()
@@ -459,22 +373,10 @@ class ServiceServer:
             writer.write(_error(500, str(exc)))
             await writer.drain()
             return
-        wait = bool(isinstance(data, dict) and data.get("wait"))
-        if wait and self._waiters < self._max_waiters:
-            # Blocking waits park a thread for the whole job; give them
-            # their own bounded pool so they can never starve the shared
-            # to_thread executor that serves every other handler.
-            self._waiters += 1
-            try:
-                await asyncio.get_running_loop().run_in_executor(
-                    self._wait_pool, job.wait
-                )
-            finally:
-                self._waiters -= 1
+        if isinstance(data, dict) and data.get("wait"):
+            await _job_end(job)
             writer.write(_response(200, envelope("job", job.to_wire())))
         else:
-            # not waiting — or every wait slot is taken: the job is still
-            # accepted, the client polls it instead of blocking us.
             writer.write(_response(202, envelope("job", job.to_wire())))
         await writer.drain()
 
@@ -521,6 +423,30 @@ class ServiceServer:
             await writer.drain()
         writer.write(b"0\r\n\r\n")
         await writer.drain()
+
+
+async def _job_end(job: Job) -> None:
+    """Wait on the event loop, holding no thread, until ``job`` ends.
+
+    Waiters need no cap of their own: each waits on a live job, and
+    ``max_live_jobs`` bounds those.  A waiter whose handler is cancelled
+    (its future with it) or whose loop has closed is skipped when the job
+    ends; the job itself is unaffected."""
+    loop = asyncio.get_running_loop()
+    ended = loop.create_future()
+
+    def resolve() -> None:
+        if not ended.done():
+            ended.set_result(None)
+
+    def listener() -> None:
+        try:
+            loop.call_soon_threadsafe(resolve)
+        except RuntimeError:
+            pass  # the loop has closed: nobody is waiting any more
+
+    if job.add_end_listener(listener):
+        await ended
 
 
 async def _serve(server: ServiceServer, ready=None) -> None:

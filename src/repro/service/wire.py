@@ -326,10 +326,6 @@ def verify_options_to_wire(options) -> Dict[str, Any]:
             "max_session_queries": options.max_session_queries,
             "jobs": options.jobs,
             "cache_dir": options.cache_dir,
-            "cache_url": (
-                None if options.cache_url is None else list(options.cache_url)
-            ),
-            "cache_timeout_s": options.cache_timeout_s,
             "obligation_timeout_s": options.obligation_timeout_s,
             "prover": prover_options_to_wire(options.prover),
         },
@@ -343,7 +339,6 @@ def verify_options_from_wire(data: Any):
     defaults = VerifyOptions()
     prover = data.get("prover")
     solver_cmd = data.get("solver_cmd", defaults.solver_cmd)
-    cache_url = data.get("cache_url", defaults.cache_url)
     obligation_timeout = data.get(
         "obligation_timeout_s", defaults.obligation_timeout_s
     )
@@ -354,6 +349,8 @@ def verify_options_from_wire(data: Any):
     # false meant one solver process per query, whatever else they say.
     if data.get("solver_session") is False:
         max_session_queries = 1
+    # "cache_url"/"cache_timeout_s" (the removed network cache tier) are
+    # ignored like every unknown key.
     return VerifyOptions(
         backend=str(data.get("backend", defaults.backend)),
         solver_cmd=(
@@ -367,12 +364,6 @@ def verify_options_from_wire(data: Any):
         cache_dir=(
             None if data.get("cache_dir", defaults.cache_dir) is None
             else str(data.get("cache_dir", defaults.cache_dir))
-        ),
-        cache_url=(
-            None if cache_url is None else tuple(str(u) for u in cache_url)
-        ),
-        cache_timeout_s=float(
-            data.get("cache_timeout_s", defaults.cache_timeout_s)
         ),
         obligation_timeout_s=(
             None if obligation_timeout is None else float(obligation_timeout)

@@ -26,17 +26,11 @@ The store behind the verdicts is tiered (docs/CACHING.md):
   verdict, so concurrent runs sharing a ``--cache-dir`` compose with
   per-verdict last-writer-wins.  It is the only on-disk form: a cache
   path that is a file (or ends in ``.json``) is refused with a hint.
-* **L2** — optional ``repro serve`` daemons whose own ``--cache-dir``
-  store is served under ``/v1/cache`` (client: :mod:`repro.verify.netcache`),
-  consulted through one batched multi-GET (:meth:`ProofCache.prefetch`)
-  and fed by write-behind publication of fresh proofs on
-  :meth:`ProofCache.save`.  Strictly fail-open: any network fault falls
-  back to L1/L0 silently.
 
 Replay scoping (:meth:`CachedVerdict.replayable_for`) is enforced at
 lookup time in :meth:`ProofCache.get`, *after* tier resolution — so a
-verdict is judged by the same rules whether it came from memory, disk, or
-the network.  Corrupted files and foreign bytes are treated as absent,
+verdict is judged by the same rules whether it came from memory or disk.
+Corrupted files and foreign bytes are treated as absent,
 never fatal: a crashed run can never poison later ones.  Checkers sharing
 one cache prove each missed key once (single-flight claims, see
 :class:`ProofCache`).
@@ -300,8 +294,8 @@ class CachedVerdict:
     def from_json(cls, data: dict) -> "CachedVerdict":
         """Parse one stored entry; ValueError/KeyError/TypeError when it is
         malformed (callers read those as absent).  ``proved`` must be a JSON
-        boolean: entries arrive from the network tier, and truthiness would
-        replay ``"false"`` or ``1`` as a proof."""
+        boolean: L1 files are outside input, and truthiness would replay
+        ``"false"`` or ``1`` as a proof."""
         proved = data["proved"]
         if not isinstance(proved, bool):
             raise ValueError(f"'proved' must be a boolean, got {proved!r}")
@@ -376,8 +370,6 @@ class CacheStats:
     #: (an ``unknown`` under different limits, or a foreign solver's proof)
     stale: int = 0
     stores: int = 0
-    #: verdicts pulled from the network tier (L2) by :meth:`ProofCache.prefetch`
-    remote_hits: int = 0
     #: missed keys claimed for a proof search (single flight)
     claims: int = 0
     #: :meth:`ProofCache.claim` calls that won at least one key; each is one
@@ -397,11 +389,6 @@ class ProofCache:
     ``path`` is the on-disk (L1) directory — the sharded CAS — or ``None``
     for memory-only (the L0 map, nothing persisted).  A path naming a file
     is refused (:func:`check_cache_dir`).
-
-    ``remote`` is an optional :class:`repro.verify.netcache.CacheClient`
-    (L2): :meth:`prefetch` pulls misses in one batched multi-GET and
-    :meth:`save` publishes fresh proofs write-behind.  Every network fault
-    is swallowed — the cache accelerates, it never gates.
 
     Instances are thread-safe: the service daemon shares one cache across
     concurrent job threads, so every public operation takes the instance
@@ -426,22 +413,12 @@ class ProofCache:
     never a wrong verdict, because every answer still goes through
     :meth:`get`."""
 
-    def __init__(self, path: Union[str, os.PathLike, None] = None, *,
-                 remote: Optional[object] = None) -> None:
+    def __init__(self, path: Union[str, os.PathLike, None] = None) -> None:
         self.stats = CacheStats()
-        self.remote = remote
         self._lock = threading.RLock()
-        #: serializes L2 round trips only — never held together with work
-        #: that other threads' get/put would block on.  Ordering: _net_lock
-        #: is taken first, _lock only inside it (or alone), never the
-        #: reverse, so the pair cannot deadlock.
-        self._net_lock = threading.Lock()
         self._entries: Dict[str, CachedVerdict] = {}  # L0
         self._store: Optional[ShardedStore] = None  # L1
         self._dirty: Set[str] = set()  # locally produced, pending L1 write
-        self._fetched: Set[str] = set()  # pulled from L2, pending L1 write
-        self._unpublished: Set[str] = set()  # proofs pending L2 publication
-        self._remote_seen: Set[str] = set()  # keys already asked of L2
         #: open claims: scope (key, config_fp, backend) -> set on release
         self._claims: Dict[Tuple[str, str, str], threading.Event] = {}
         if path is not None:
@@ -450,44 +427,15 @@ class ProofCache:
     # -- persistence ---------------------------------------------------------
 
     def save(self) -> None:
-        """Persist pending verdicts to L1 and publish fresh proofs to L2.
+        """Persist pending verdicts to L1.
 
         Each pending verdict is one atomic file write — no whole-store
-        rewrite, nothing another run wrote is touched.  All network faults
-        are swallowed."""
+        rewrite, nothing another run wrote is touched."""
         with self._lock:
             if self._store is not None:
-                for key in sorted(self._dirty | self._fetched):
+                for key in sorted(self._dirty):
                     self._store.put(key, self._entries[key].to_json())
             self._dirty.clear()
-            self._fetched.clear()
-        # Publication happens outside the instance lock for the same
-        # reason prefetch releases it: a slow L2 multi-PUT must never
-        # block other threads' get/put on the shared cache.
-        self._flush_remote()
-
-    def _flush_remote(self) -> None:
-        """Write-behind publication: one batched multi-PUT of new proofs.
-
-        The network call runs under the network lock only; the instance
-        lock is taken just to snapshot and (on success) retire the batch,
-        so concurrent get/put never wait on the round trip.  Keys put()
-        while the publish is in flight stay queued for the next save."""
-        remote = self.remote
-        if remote is None or not remote.alive:
-            return
-        with self._net_lock:
-            with self._lock:
-                batch = {
-                    key: self._entries[key].to_json()
-                    for key in sorted(self._unpublished)
-                    if key in self._entries
-                }
-            if not batch:
-                return
-            if remote.publish(batch):
-                with self._lock:
-                    self._unpublished -= set(batch)
 
     # -- lookup --------------------------------------------------------------
 
@@ -499,21 +447,12 @@ class ProofCache:
                 return len(keys)
             return len(self._entries)
 
-    @property
-    def has_remote(self) -> bool:
-        return self.remote is not None
-
     def location(self) -> str:
-        """Human-readable description of the configured tiers."""
-        parts = []
-        if self._store is not None:
-            parts.append(str(self._store.root))
-        if self.remote is not None:
-            parts.append(self.remote.describe())
-        return " + ".join(parts) if parts else "<memory>"
+        """Human-readable description of the store."""
+        return str(self._store.root) if self._store is not None else "<memory>"
 
     def _lookup(self, key: str) -> Optional[CachedVerdict]:
-        """Resolve L0 then L1 (filling L0); no stats, no network."""
+        """Resolve L0 then L1 (filling L0); no stats."""
         entry = self._entries.get(key)
         if entry is None and self._store is not None:
             raw = self._store.get(key)
@@ -526,64 +465,6 @@ class ProofCache:
                     self._entries[key] = entry
         return entry
 
-    def prefetch(self, keys: Sequence[str]) -> int:
-        """Warm L0 with every resolvable key; one batched L2 multi-GET.
-
-        Keys already resolved locally (or already asked of the network this
-        process) cost nothing, so per-pattern prefetches after a suite-wide
-        one never re-ask the daemon — a warm suite is one round trip.
-        Returns the number of entries pulled from the network tier.
-
-        The instance lock is *not* held across the network call: the daemon
-        shares one cache across every job thread, so a slow L2 round trip
-        (up to its configured timeout) must stall only overlapping
-        prefetches, never another job's get/put.  Concurrent prefetches
-        serialize on a dedicated network lock instead, and the second one
-        re-checks after acquiring it — an overlapping prefetch waits for
-        the in-flight round trip and then finds its keys resolved (or
-        known-missing) locally, rather than duplicating the fetch."""
-        with self._lock:
-            missing = self._prefetch_missing(keys)
-        if not missing:
-            return 0
-        with self._net_lock:
-            with self._lock:
-                # Re-check: the round trip we just waited for (or a racing
-                # put) may have resolved some — or all — of our keys.
-                remote = self.remote
-                asked = sorted(set(self._prefetch_missing(missing)))
-                if not asked:
-                    return 0
-                self._remote_seen.update(asked)
-            try:
-                fetched = remote.multi_get(asked)
-            except Exception:
-                return 0  # the network tier is fail-open, never fatal
-            pulled = 0
-            with self._lock:
-                for key, raw in fetched.items():
-                    if key in self._entries:
-                        continue  # a racing put() wins over the fetch
-                    try:
-                        entry = CachedVerdict.from_json(raw)
-                    except Exception:
-                        continue  # a corrupt L2 entry is a miss, never an error
-                    self._entries[key] = entry
-                    self._fetched.add(key)  # read-through: persist on save
-                    pulled += 1
-                self.stats.remote_hits += pulled
-            return pulled
-
-    def _prefetch_missing(self, keys: Sequence[str]) -> List[str]:
-        """Keys worth asking L2 for (caller holds the instance lock)."""
-        if self.remote is None or not self.remote.alive:
-            return []
-        return [
-            key
-            for key in keys
-            if self._lookup(key) is None and key not in self._remote_seen
-        ]
-
     def get(
         self, key: str, config_fp: str, backend: str = "internal"
     ) -> Optional[CachedVerdict]:
@@ -591,8 +472,7 @@ class ProofCache:
 
         Scoping (:meth:`CachedVerdict.replayable_for`) is applied here, on
         the resolved entry, identically for every tier it may have come
-        from.  The network is never consulted per-key — batch with
-        :meth:`prefetch` first."""
+        from."""
         with self._lock:
             entry = self._lookup(key)
             if entry is None:
@@ -632,10 +512,7 @@ class ProofCache:
                 return
             self._entries[key] = entry
             self._dirty.add(key)
-            self._fetched.discard(key)
             self.stats.stores += 1
-            if proved and self.remote is not None:
-                self._unpublished.add(key)
 
     # -- single flight -------------------------------------------------------
 
@@ -706,7 +583,5 @@ class ProofCache:
         with self._lock:
             self._entries = {}
             self._dirty.clear()
-            self._fetched.clear()
-            self._unpublished.clear()
             if self._store is not None:
                 self._store.clear()

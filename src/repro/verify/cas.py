@@ -8,8 +8,8 @@ key and sharded by digest prefix::
 
 Each object is written atomically (temp file + rename), so concurrent
 writers — two verification runs sharing a ``--cache-dir``, or a ``repro
-serve`` daemon taking multi-PUTs while a local run saves — compose with
-plain last-writer-wins semantics per verdict, never clobbering each other.
+serve`` daemon and a local run — compose with plain last-writer-wins
+semantics per verdict, never clobbering each other.
 Since two writers of the same key hold the *same* content-addressed
 verdict (modulo timing metadata), last-writer-wins is lossless.
 
@@ -32,7 +32,8 @@ from typing import Iterator, Optional, Union
 OBJECTS_DIRNAME = "objects"
 
 #: Keys are sha256 hex digests in production; tests use short tokens.  The
-#: pattern exists for path safety (the daemon feeds request paths here).
+#: pattern exists for path safety: no separator or dot segment can take an
+#: object outside the store.
 _SAFE_KEY = re.compile(r"^[0-9a-zA-Z_-]{1,128}$")
 
 

@@ -279,20 +279,8 @@ class SoundnessChecker:
                 "path through VerifyOptions(cache_dir=...)"
             )
         cache: Optional[ProofCache] = proof_cache
-        remote = None
-        if getattr(options, "cache_url", None):
-            from repro.verify.netcache import CacheClient
-
-            remote = CacheClient(
-                options.cache_url, timeout_s=options.cache_timeout_s
-            )
         if cache is None and options.cache_dir is not None:
-            cache = ProofCache(options.cache_dir, remote=remote)
-        elif cache is None and remote is not None:
-            # L2 with no local directory: memory-only L0 over the network.
-            cache = ProofCache(None, remote=remote)
-        elif cache is not None and remote is not None and cache.remote is None:
-            cache.remote = remote
+            cache = ProofCache(options.cache_dir)
         self.cache: Optional[ProofCache] = cache
         self.jobs = max(1, int(options.jobs))
         self._pool = pool
@@ -335,11 +323,6 @@ class SoundnessChecker:
             fresh = self._dispatch(name, [obligations[i] for i in first.values()])
             verdicts.update(zip(first, fresh))
         else:
-            # Read-through: resolve every key L0 -> L1 -> (one batched
-            # multi-GET to) L2 before the obligation loop.  After a
-            # suite-wide prefetch this finds everything local and costs no
-            # network at all.
-            cache.prefetch(list(first))
             missed = []
             for key in first:
                 hit = cache.get(key, self._config_fp, self._backend_id)
@@ -369,8 +352,7 @@ class SoundnessChecker:
                 settled = cache.settle(theirs, self._config_fp, self._backend_id)
                 verdicts.update(settled)
                 missed = [key for key in theirs if key not in settled]
-            # Persist fresh verdicts (and L2 pulls) to L1, and publish new
-            # proofs write-behind; a fully warm pattern is a no-op.
+            # Persist fresh verdicts to L1; a fully warm pattern is a no-op.
             cache.save()
 
         report = SoundnessReport(name)
@@ -436,9 +418,7 @@ class SoundnessChecker:
         will use (analyses register their labels as they are checked;
         optimizations register their own analyses first), over a scratch
         copy of the checker's state — computing keys never mutates the
-        checker.  The simulation is advisory: if it diverges from the live
-        run (a failing analysis, a translation error), the only cost is a
-        cache miss later."""
+        checker.  Items whose obligations fail to build contribute no keys."""
         meanings: Dict[str, PureAnalysis] = dict(self.semantic_meanings)
         seen = set(self._analysis_cache)
         keys: List[str] = []
@@ -481,24 +461,6 @@ class SoundnessChecker:
                 continue
             _add(obs)
         return keys
-
-    def prefetch_suite(
-        self,
-        analyses: Sequence[PureAnalysis] = (),
-        optimizations: Sequence[Optimization] = (),
-    ) -> int:
-        """One batched L2 multi-GET covering the whole upcoming suite.
-
-        With a network tier configured, this turns a warm suite replay into
-        a single HTTP round trip: every later per-pattern prefetch finds
-        its keys already resolved.  Without a network tier it is a no-op
-        (per-pattern L1 reads are already cheap).  Returns the number of
-        verdicts pulled from the network."""
-        if self.cache is None or not self.cache.has_remote:
-            return 0
-        return self.cache.prefetch(
-            self.suite_obligation_keys(analyses, optimizations)
-        )
 
     # ------------------------------------------------------------------
 

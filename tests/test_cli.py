@@ -350,14 +350,18 @@ class TestRetiredProverFlag:
             ["opt", "prog.il", "--passes", "constProp", "--engine", "worklist"],
             ["--backend", "smtlib", "--solver-session", "verify"],
             ["serve", "--batch-window", "1"],
+            ["--cache-url", "http://127.0.0.1:8421", "verify"],
+            ["--cache-timeout", "2", "verify"],
+            ["cache", "stats", "--url", "http://127.0.0.1:8421"],
         ],
         ids=["kernel", "prover-mode", "engine", "solver-session",
-             "batch-window"],
+             "batch-window", "cache-url", "cache-timeout", "cache-stats-url"],
     )
     def test_removed_switches_are_argparse_errors(self, argv, capsys):
-        """The kernel, prover-mode, engine, solver-session and batch-window
-        switches are gone: using one is a usage error (exit 2), never a
-        silently ignored flag."""
+        """The kernel, prover-mode, engine, solver-session, batch-window,
+        cache-url, cache-timeout and cache-stats-url switches are gone:
+        using one is a usage error (exit 2), never a silently ignored
+        flag."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -11,7 +11,8 @@ Covers the cache contract the parallel/cached checker relies on:
   and a stored internal proof is never evicted by a narrower verdict;
 * the memoized axiom digest and obligation keys are the ones a fresh walk
   computes, bounded, and safe under racing threads;
-* a corrupted or malformed verdict object reads as absent, never fatal;
+* a corrupted or malformed verdict object reads as absent, never fatal,
+  and a key that is not a plain object name touches no file;
 * the sharded on-disk store (one file per verdict) merges concurrent
   writers instead of clobbering, and is the only on-disk form: a file
   path is refused with a one-line hint, at the API and the CLI.
@@ -40,6 +41,7 @@ from repro.verify.cache import (
     config_fingerprint,
     obligation_key,
 )
+from repro.verify.cas import ShardedStore
 from repro.verify.encode import CONSTRUCTORS, all_axioms
 from repro.verify.obligations import ObligationBuilder
 from repro.opts import const_fold, const_prop
@@ -265,42 +267,37 @@ class TestClaims:
         assert cache.claim(["k"], "big") == (["k"], [])
 
 
-class TestPrefetchLocking:
-    def test_get_not_blocked_by_slow_remote(self):
-        # The daemon shares one cache across every job thread: a wedged L2
-        # round trip must stall only overlapping prefetches, never get/put.
-        import threading
+class TestStoreKeys:
+    """The sharded store refuses every key that is not a plain object
+    name, so no key reads, writes or deletes a file outside its root."""
 
-        entered = threading.Event()
-        release = threading.Event()
+    ENTRY = {"proved": True, "elapsed_s": 0.1, "context": [], "config": "",
+             "backend": "internal"}
 
-        class SlowRemote:
-            alive = True
+    @pytest.mark.parametrize(
+        "key", ["../escape", "..", "a/b", "a.b", "", "k" * 129, "k\u00e9",
+                None, 7],
+    )
+    def test_unsafe_key_is_refused(self, tmp_path, key):
+        store = ShardedStore(tmp_path / "store", SCHEMA_VERSION)
+        assert store.put(key, self.ENTRY) is False
+        assert store.get(key) is None
+        assert not store.has(key)
+        assert store.delete(key) is False
+        assert list(tmp_path.iterdir()) == []
 
-            def multi_get(self, keys):
-                entered.set()
-                release.wait(10)
-                return {}
-
-        cache = ProofCache(None, remote=SlowRemote())
-        cache.put("hot", proved=True, elapsed_s=0.1)
-        fetcher = threading.Thread(target=cache.prefetch, args=(["cold"],))
-        fetcher.start()
-        try:
-            assert entered.wait(10), "prefetch never reached the remote"
-            done = threading.Event()
-
-            def read():
-                if cache.get("hot", "") is not None:
-                    done.set()
-
-            reader = threading.Thread(target=read)
-            reader.start()
-            assert done.wait(2), "get() blocked behind the remote multi_get"
-            reader.join(10)
-        finally:
-            release.set()
-            fetcher.join(10)
+    def test_escaping_key_never_reaches_the_file_it_names(self, tmp_path):
+        store = ShardedStore(tmp_path / "store", SCHEMA_VERSION)
+        outside = tmp_path / "escape.json"
+        assert store.object_path("../escape").resolve() == outside.resolve()
+        outside.write_text(json.dumps(
+            {"schema": SCHEMA_VERSION, "entry": self.ENTRY}
+        ))
+        assert store.get("../escape") is None
+        assert store.put("../escape", dict(self.ENTRY, proved=False)) is False
+        assert store.delete("../escape") is False
+        assert json.loads(outside.read_text())["entry"]["proved"] is True
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["escape.json"]
 
 
 class TestRobustness:
@@ -332,8 +329,8 @@ class TestRobustness:
 
     @pytest.mark.parametrize("proved", ["false", "true", 1, 0, None])
     def test_non_boolean_proved_reads_as_absent(self, tmp_path, proved):
-        # Entries can arrive from any network writer: only a JSON boolean
-        # is a verdict, never a truthy string or number.
+        # Store files are outside input: only a JSON boolean is a
+        # verdict, never a truthy string or number.
         self._write_object(tmp_path, proved=proved)
         cache = ProofCache(tmp_path)
         assert cache.get("aa0001", "") is None

@@ -458,46 +458,57 @@ class TestVerificationService:
         finally:
             svc.shutdown()
 
-    def test_warm_network_replay_is_one_round_trip(self, tmp_path):
-        # Populate a store locally, serve it from a second daemon's
-        # /v1/cache routes, and point a daemon with NO local cache at it:
-        # the whole job must replay from ONE batched multi-GET (the
-        # verify_suite prefetch), byte-identical, with zero prover
-        # dispatches and the pulled verdicts counted as remote hits.
-        from repro.cli import parse_blocks
-        from repro.cobalt.dsl import Optimization
 
-        items = [i if isinstance(i, Optimization) else Optimization(i)
-                 for i in parse_blocks(CONST_PROP)]
-        local = verify_suite(
-            replace(FAST, cache_dir=str(tmp_path / "store")),
-            analyses=[], optimizations=items,
-        )
-        local.cache.save()
+class TestJobEndWaiter:
+    """``"wait": true`` awaits a loop future that the job's end resolves."""
 
-        upstream = _start_daemon(
-            options=replace(FAST, cache_dir=str(tmp_path / "store"))
-        )
-        svc = VerificationService(
-            replace(FAST, cache_url=f"http://127.0.0.1:{upstream.port}"),
-        )
-        try:
-            job = svc.submit(
-                envelope("job-request", {"source": CONST_PROP})
+    def test_resolves_when_the_job_ends_off_loop(self):
+        from repro.service.server import _job_end
+
+        job = Job("j", "suite")
+
+        async def main():
+            waiter = asyncio.ensure_future(_job_end(job))
+            await asyncio.sleep(0)
+            assert not waiter.done()
+            await asyncio.to_thread(job.finish, {"ok": True})
+            await asyncio.wait_for(waiter, 10)
+
+        asyncio.run(main())
+        assert job.status == "done"
+
+    def test_ended_job_returns_at_once(self):
+        from repro.service.server import _job_end
+
+        job = Job("j", "suite")
+        job.fail("boom")
+        asyncio.run(asyncio.wait_for(_job_end(job), 10))
+
+    def test_cancelled_waiter_and_closed_loop_are_skipped(self):
+        from repro.service.server import _job_end
+
+        cancelled, orphaned = Job("a", "suite"), Job("b", "suite")
+        errors = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
             )
-            assert job.wait(timeout=120)
-            assert job.status == "done"
-            assert job.result["canonical"] == local.canonical()
-            assert svc.cache.remote is not None
-            assert svc.cache.remote.stats.requests == 1
-            stats = svc.stats_wire()
-            assert stats["broker"]["dispatches"] == 0
-            assert stats["cache"]["remote_hits"] > 0
-            assert svc.cache.stats.hits >= 1
-        finally:
-            svc.shutdown()
-            upstream.server.request_stop()
-            upstream.thread.join(timeout=30)
+            waiters = [asyncio.ensure_future(_job_end(job))
+                       for job in (cancelled, orphaned)]
+            await asyncio.sleep(0)
+            for waiter in waiters:
+                waiter.cancel()
+            await asyncio.gather(*waiters, return_exceptions=True)
+            # the cancelled future's listener still fires, harmlessly
+            await asyncio.to_thread(cancelled.finish, {})
+            await asyncio.sleep(0)
+
+        asyncio.run(main())
+        assert errors == []
+        # the loop has closed; the last listener must not raise
+        orphaned.finish({})
+        assert cancelled.status == orphaned.status == "done"
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +610,31 @@ class TestHTTP:
         status, _, reply = daemon.request("POST", "/v1/jobs", body=body)
         assert status == 400
         assert "solver_session" in json.loads(reply)["error"]
+
+    def test_removed_cache_url_option_is_400(self, daemon):
+        # The network cache tier is gone; a client that still sends its
+        # options is refused rather than silently ignored.
+        for field, value in (("cache_url", "http://127.0.0.1:1"),
+                             ("cache_timeout_s", 2.0)):
+            status, _, reply = daemon.post_job(
+                {"source": CONST_PROP, "options": {field: value}}
+            )
+            assert status == 400
+            assert field in json.loads(reply)["error"]
+
+    def test_removed_cache_routes_are_404(self, daemon):
+        entry = {"proved": True, "elapsed_s": 0.1, "context": [],
+                 "config": "", "backend": "internal"}
+        body = json.dumps({"entries": {"aa0001": entry}}).encode()
+        status, _, reply = daemon.request(
+            "POST", "/v1/cache/v4/multi-put", body=body
+        )
+        assert status == 404
+        assert json.loads(reply)["error"] == (
+            "no such route: /v1/cache/v4/multi-put"
+        )
+        assert daemon.request("GET", "/v1/cache/v4/stats")[0] == 404
+        assert daemon.server.service.cache.stats.stores == 0
 
     def test_malformed_block_is_400_with_the_parser_message(self, daemon):
         status, _, reply = daemon.post_job(
@@ -722,20 +758,6 @@ class TestHTTPLimits:
             fixture.server.request_stop()
             fixture.thread.join(timeout=30)
 
-    def test_exhausted_wait_slots_fall_back_to_202(self, daemon):
-        # Every wait slot taken: the job is still accepted, just answered
-        # 202 for polling instead of parking yet another thread.
-        daemon.server._waiters = daemon.server._max_waiters
-        try:
-            status, _, body = daemon.post_job(
-                {"optimizations": [], "wait": True}
-            )
-        finally:
-            daemon.server._waiters = 0
-        assert status == 202
-        job_id = json.loads(body)["id"]
-        assert daemon.request("GET", f"/v1/jobs/{job_id}")[0] == 200
-
     def test_oversized_body_is_413(self):
         fixture = _start_daemon(max_body_bytes=512)
         try:
@@ -748,6 +770,61 @@ class TestHTTPLimits:
         finally:
             fixture.server.request_stop()
             fixture.thread.join(timeout=30)
+
+    def test_waiting_client_disconnect_leaves_its_job(self):
+        # A "wait": true client that vanishes while its job runs: the job
+        # finishes, pollers read it, and the daemon keeps serving.
+        gate = threading.Event()
+        svc = VerificationService(FAST)
+        run_job = svc._run_job
+
+        def gated_run(*args):
+            assert gate.wait(60), "gate never opened"
+            run_job(*args)
+
+        svc._run_job = gated_run
+        fixture = _start_daemon(service=svc)
+        try:
+            body = json.dumps(envelope("job-request", {
+                "source": CONST_PROP, "wait": True,
+            })).encode()
+            with socket.create_connection(("127.0.0.1", fixture.port),
+                                          10) as sock:
+                sock.sendall(
+                    b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body) + body
+                )
+                deadline = time.monotonic() + 60
+                while not svc._jobs and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            # the waiting client is gone; now let its job run
+            [job_id] = list(svc._jobs)
+            gate.set()
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline:
+                status, _, reply = fixture.request("GET", f"/v1/jobs/{job_id}")
+                assert status == 200
+                if json.loads(reply)["status"] in ("done", "error"):
+                    break
+                time.sleep(0.05)
+            assert json.loads(reply)["status"] == "done"
+            assert svc.stats_wire()["jobs"]["live"] == 0
+            status, _, reply = fixture.post_job(
+                {"source": CONST_PROP, "wait": True}
+            )
+            assert status == 200
+            assert json.loads(reply)["status"] == "done"
+        finally:
+            gate.set()
+            fixture.server.request_stop()
+            fixture.thread.join(timeout=30)
+
+    def test_waiting_parks_no_thread(self, daemon):
+        # A "wait": true submission awaits its job on the event loop.
+        status, _, _ = daemon.post_job({"optimizations": [], "wait": True})
+        assert status == 200
+        names = [t.name for t in threading.enumerate()]
+        assert not [n for n in names if n.startswith("repro-wait")]
 
     def test_disconnect_mid_stream_does_not_kill_job(self, daemon):
         status, _, body = daemon.post_job({"source": CONST_PROP})

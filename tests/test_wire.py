@@ -175,12 +175,19 @@ class TestOptionsRoundTrips:
             solver_cmd="z3 -smt2",
             jobs=4,
             cache_dir="/tmp/cache",
-            cache_url="http://localhost:8417",
             obligation_timeout_s=12.5,
             prover=ProverOptions(timeout_s=9.0, max_rounds=5),
         )
         back = VerifyOptions.from_wire(options.to_wire())
         assert back == options
+
+    def test_older_clients_cache_url_key_still_decodes(self):
+        # cache_url/cache_timeout_s belonged to the removed network cache
+        # tier; a document that still carries them decodes, ignoring both.
+        doc = VerifyOptions(jobs=2).to_wire()
+        assert "cache_url" not in doc and "cache_timeout_s" not in doc
+        doc.update(cache_url=["http://localhost:8417"], cache_timeout_s=2.0)
+        assert VerifyOptions.from_wire(doc) == VerifyOptions(jobs=2)
 
     def test_verify_options_defaults_fill_missing(self):
         doc = envelope("verify-options", {"backend": "smtlib"})
