@@ -43,8 +43,10 @@ per-obligation race of the two (docs/BACKENDS.md).
 process serves (default 1, a fresh process per case; 0 = never
 recycle).  The deprecated ``--prover`` alias and the ``--prover-mode``,
 ``--kernel``, ``--engine``, ``--solver-session``, ``--cache-url`` and
-``--cache-timeout`` switches were removed — see the migration tables in
-docs/SERVICE.md, docs/CACHING.md and docs/BACKENDS.md.  ``--json`` on
+``--cache-timeout`` switches were removed — using one exits 2 with a
+message that names it and its replacement (:data:`REMOVED_GLOBAL_FLAGS`);
+see the migration tables in docs/SERVICE.md, docs/CACHING.md and
+docs/BACKENDS.md.  ``--json`` on
 ``suite``, ``verify``, ``fuzz``, and ``cache stats`` emits the daemon's
 versioned wire schema on stdout instead of the human table.  ``--prover-stats``
 prints the prover's observability counters to stderr (see docs/PROVER.md),
@@ -419,6 +421,36 @@ def _cache_dir_arg(value: str) -> str:
     return value
 
 
+#: Removed global flags and what replaces each.  They are rejected before
+#: argparse runs: argparse would read a removed flag's value as the
+#: subcommand (``--cache-url x verify``: "invalid choice: 'x'") and never
+#: name the flag.
+REMOVED_GLOBAL_FLAGS = {
+    "--prover": "there is one prover search; drop the flag",
+    "--prover-mode": "there is one prover search; drop the flag",
+    "--kernel": "there is one e-graph kernel; drop the flag",
+    "--solver-session": "use --max-session-queries 0 for one warm solver "
+                        "process",
+    "--cache-url": "run 'repro-cobalt --cache-dir DIR serve' on the cache "
+                   "host and submit jobs to it",
+    "--cache-timeout": "there is no network cache tier; drop the flag",
+}
+
+
+def reject_removed_flags(parser: argparse.ArgumentParser, argv) -> None:
+    """Exit 2 naming the first removed global flag in ``argv`` (as
+    ``--flag value`` or ``--flag=value``) and its replacement."""
+    for token in argv:
+        if token == "--":
+            return
+        flag = token.split("=", 1)[0]
+        replacement = REMOVED_GLOBAL_FLAGS.get(flag)
+        if replacement is not None:
+            parser.error(
+                f"unrecognized arguments: {flag} (removed: {replacement})"
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
     from repro.prover.kernels import kernel_identity
@@ -599,7 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    reject_removed_flags(parser, sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
     try:
         status = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -49,7 +49,7 @@ from repro.logic.formulas import (
     Pred,
     clausify,
 )
-from repro.logic.terms import App, Term, free_vars, term_size, term_str
+from repro.logic.terms import App, LVar, Term, free_vars, term_size, term_str
 from repro.prover.kernels import (
     DEFAULT_KERNEL,
     FlatEGraph,
@@ -57,7 +57,13 @@ from repro.prover.kernels import (
     flat_ematch,
     kernel_identity,
 )
-from repro.prover.kernels.flat import EGraphConflict, FALSE, MatchTimeout, TRUE
+from repro.prover.kernels.flat import (
+    EGraphConflict,
+    FALSE,
+    MatchTimeout,
+    TRUE,
+    inverse_symbol,
+)
 
 
 class Status(Enum):
@@ -313,7 +319,9 @@ class Prover:
         self._base_clauses: List[Clause] = list(base)
 
     def _clausify_axioms(self, axioms) -> Tuple[Tuple[Clause, ...], int]:
-        """The base clauses of ``axioms`` and the axiom counter after them."""
+        """The base clauses of ``axioms`` and the axiom counter after them
+        (injectivity clauses in their linear form, see
+        :func:`linear_injectivity`)."""
         self._base_clauses = []
         self._axiom_counter = 0
         for ax in axioms:
@@ -322,7 +330,8 @@ class Prover:
                 self.add_axiom(formula, origin)
             else:
                 self.add_axiom(ax)
-        return tuple(self._base_clauses), self._axiom_counter
+        base = tuple(linear_injectivity(c) for c in self._base_clauses)
+        return base, self._axiom_counter
 
     def add_axiom(self, axiom: Union[Formula, Clause], origin: str = "") -> None:
         """Add a background axiom (formula or pre-clausified clause)."""
@@ -364,6 +373,55 @@ class Prover:
         search = _Search(clauses, self.constructors, cfg)
         search.cancel = cancel
         return search.run(name)
+
+
+def linear_injectivity(clause: Clause) -> Clause:
+    """The linear form of an injectivity clause; any other clause as is.
+
+    ``x = y \\/ f(c, x) != f(c, y)`` — ``x``, ``y`` distinct variables, the
+    second application the first with ``x`` replaced by ``y`` — needs a
+    multi-pattern trigger and so admits one instance per *pair* of
+    ``f``-applications.  ``inv(c, f(c, x)) = x``, with ``inv`` the fresh
+    :func:`~repro.prover.kernels.flat.inverse_symbol` of ``f`` at ``x``'s
+    position, implies it, is triggered by ``f(c, x)`` alone and so admits
+    one instance per application.  Congruence on ``inv`` derives ``x = y``
+    from ``f(c, x) = f(c, y)``; the kernel's contrapositive congruence
+    derives ``f(c, x) != f(c, y)`` from ``x != y`` (docs/THEOREMS.md, W1).
+    The clause keeps its origin."""
+    if len(clause.literals) != 2:
+        return clause
+    eq, neq = clause.literals
+    if not eq.positive:
+        eq, neq = neq, eq
+    if (
+        not eq.positive
+        or neq.positive
+        or not isinstance(eq.atom, Eq)
+        or not isinstance(neq.atom, Eq)
+    ):
+        return clause
+    x, y = eq.atom.lhs, eq.atom.rhs
+    if not isinstance(x, LVar) or not isinstance(y, LVar) or x == y:
+        return clause
+    lhs, rhs = neq.atom.lhs, neq.atom.rhs
+    for u, v in ((x, y), (y, x)):
+        for image, other in ((lhs, rhs), (rhs, lhs)):
+            if not isinstance(image, App) or v.name in free_vars(image):
+                continue
+            args = image.args
+            if u not in args:
+                continue
+            i = args.index(u)
+            ctx = args[:i] + args[i + 1:]
+            if any(u.name in free_vars(c) for c in ctx):
+                continue
+            if other != App(image.fn, args[:i] + (v,) + args[i + 1:]):
+                continue
+            inverse = App(inverse_symbol(image.fn, i), ctx + (image,))
+            return Clause(
+                (Literal(True, Eq(inverse, u)),), ((image,),), clause.origin
+            )
+    return clause
 
 
 #: Selected triggers per quantified axiom clause, keyed by object id with
@@ -793,6 +851,8 @@ class _Search:
         clause_lits = self._clause_lits
         add_term = eg.add_term
         relation_ids = eg.relation_ids
+        parent = eg.parent
+        inv_uses = eg.inv_uses
         true_node = self._true_node
         progress = False
         if len(events) != self.event_cursor:
@@ -860,6 +920,13 @@ class _Search:
                             candidate = rec[0]
                         watch_nodes.append(a)
                         watch_nodes.append(b)
+                        # ``relation_ids`` left ``a`` and ``b`` one hop from
+                        # their roots.  Contrapositive congruence reads the
+                        # inverse applications over both classes: watch them.
+                        if inv_uses[parent[a]] and inv_uses[parent[b]]:
+                            eg.inverse_watch_nodes(
+                                parent[a], parent[b], watch_nodes
+                            )
                     elif (rel == 1) == rec[6]:
                         satisfied = True
                         break
@@ -906,7 +973,6 @@ class _Search:
                 heapq.heappush(split_heap, (-clause_priority, width, index))
                 split_pushed[index] = entry
             watchers = self.watchers
-            parent = eg.parent
             moved = 0
             for node in watch_nodes:
                 root = parent[node]

@@ -31,14 +31,17 @@ Every e-node is a plain integer id into parallel flat lists:
   restricted to nodes stamped since the previous round finds exactly the
   bindings that did not exist before;
 * ``uses`` / ``diseq`` — per-id use-lists and disequality adjacency;
+* ``inv_uses`` — per root, the *inverse applications* (head symbol made
+  by :func:`inverse_symbol`) whose last argument lies in the class; they
+  feed contrapositive congruence in :meth:`FlatEGraph.relation_ids`;
 * a flat **integer trail**: undo records are operand ints pushed onto one
   list followed by an opcode, popped in reverse on ``pop``.  Only records
   that must restore an object (a class representative term, a signature
   key) park it in a side list.
 
 An **event log** of class roots whose equivalence class changed (merged,
-or gained a disequality) feeds the prover's watched-clause propagation
-(docs/PROVER.md).
+gained a disequality, or became the image of an inverse application)
+feeds the prover's watched-clause propagation (docs/PROVER.md).
 
 The module is written in the mypyc/Cython-compatible subset (plain
 classes, no generators or closures in hot paths) so ``pip install
@@ -65,6 +68,18 @@ from repro.prover.arith import ARITH_FNS, eval_arith
 
 TRUE = App("@true")
 FALSE = App("@false")
+
+#: Head-symbol prefix of inverse functions.  ``@`` cannot start an IL or
+#: Cobalt identifier and the axiom encoder never emits it, so an inverse
+#: symbol never collides with a symbol of the theory.
+INVERSE_PREFIX = "@inv"
+
+
+def inverse_symbol(fn: str, position: int) -> str:
+    """The inverse of ``fn`` in argument ``position``: an application
+    ``inv(c_1, ..., c_k, v)`` takes the other arguments of ``fn`` in order
+    (the *context*) followed by the image ``v``."""
+    return f"{INVERSE_PREFIX}{position}:{fn}"
 
 
 class EGraphConflict(Exception):
@@ -97,6 +112,8 @@ _OP_USE_MERGE = 8  # [rx, old_len]            undo a use-list extend
 _OP_CTOR = 9  # [root, old]                   undo a class-constructor set
 _OP_MOD = 10  # [node, old]                   undo a mod-stamp raise
 _OP_PARENT = 11  # [x, old]                   undo one path-compression write
+_OP_INV_USE = 12  # [root]                     undo one inverse-index append
+_OP_INV_MERGE = 13  # [rx, old_len]            undo an inverse-index extend
 
 
 class FlatEGraph:
@@ -110,6 +127,7 @@ class FlatEGraph:
         self.fn_rows: List[List[int]] = []  # fn id -> node ids, oldest first
         self.fn_is_ctor: List[bool] = []
         self.fn_is_arith: List[bool] = []
+        self.fn_is_inv: List[bool] = []
         #: Per-fn high-water mod stamp: ≥ the stamp of every current node in
         #: the row.  Pops leave it conservatively high (a stale watermark
         #: only costs a skipped skip), so the restricted E-matching pass can
@@ -131,6 +149,9 @@ class FlatEGraph:
         self.best_term: List[Term] = []  # root-level small representative
         self.uses: List[List[int]] = []
         self.diseq: List[Set[int]] = []
+        #: Root-level: inverse applications whose image (last argument)
+        #: lies in the class, maintained through merges like ``uses``.
+        self.inv_uses: List[List[int]] = []
         # -- interning / congruence ---------------------------------------
         self.term_to_node: Dict[Term, int] = {}
         self.sig_table: Dict[Tuple[int, ...], int] = {}
@@ -185,6 +206,7 @@ class FlatEGraph:
         self.fn_rows.append([])
         self.fn_is_ctor.append(fn in self.constructors)
         self.fn_is_arith.append(fn in ARITH_FNS)
+        self.fn_is_inv.append(fn.startswith(INVERSE_PREFIX))
         self.fn_maxmod.append(self.generation)
         return fid
 
@@ -224,6 +246,14 @@ class FlatEGraph:
             self.uses[root].append(node_id)
             trail.append(root)
             trail.append(_OP_USE)
+        if self.fn_is_inv[fid] and arg_ids:
+            # Index the image's class and wake its watchers: a literal over
+            # that class may now be decided by contrapositive congruence.
+            root = self.find(arg_ids[-1])
+            self.inv_uses[root].append(node_id)
+            trail.append(root)
+            trail.append(_OP_INV_USE)
+            self.events.append(root)
         self._post_node_theories(node_id)
         return node_id
 
@@ -246,6 +276,7 @@ class FlatEGraph:
         self.best_term.append(term)
         self.uses.append([])
         self.diseq.append(set())
+        self.inv_uses.append([])
         if fid >= 0:
             self.fn_rows[fid].append(node_id)
             if self.generation > self.fn_maxmod[fid]:
@@ -353,20 +384,71 @@ class FlatEGraph:
             rb = self.find(b)
         if ra == rb:
             return 1
-        if rb in self.diseq[ra]:
+        if self._roots_disequal(ra, rb):
             return 0
-        # Theory-level disequality: distinct numerals / distinct constructors.
+        inv_uses = self.inv_uses
+        if inv_uses[ra] and inv_uses[rb] and self._inverse_disequal(ra, rb):
+            return 0
+        return -1
+
+    def _roots_disequal(self, ra: int, rb: int) -> bool:
+        """Two distinct roots are disequal by an asserted disequality or
+        by theory: distinct numerals / distinct constructors."""
+        if rb in self.diseq[ra]:
+            return True
         ha = self.int_has[ra]
         hb = self.int_has[rb]
         if ha and hb and self.int_val[ra] != self.int_val[rb]:
-            return 0
+            return True
         ca = self.ctor[ra]
         cb = self.ctor[rb]
         if ca >= 0 and cb >= 0 and self.fn_id[ca] != self.fn_id[cb]:
-            return 0
-        if (ha and cb >= 0) or (hb and ca >= 0):
-            return 0
-        return -1
+            return True
+        return bool((ha and cb >= 0) or (hb and ca >= 0))
+
+    def _inverse_disequal(self, ra: int, rb: int) -> bool:
+        """Contrapositive congruence over inverse applications: from
+        ``inv(c, s) != inv(c', t)`` with ``c = c'`` follows ``s != t``.
+        ``ra``/``rb`` are the roots of the images ``s``/``t``.  The
+        inverse classes must be disequal by :meth:`_roots_disequal`; the
+        rule is not applied to them again."""
+        fn_id = self.fn_id
+        arg_start = self.arg_start
+        arena = self.arena
+        for p in self.inv_uses[ra]:
+            fid = fn_id[p]
+            n_ctx = self.arg_len[p] - 1
+            bp = arg_start[p]
+            for q in self.inv_uses[rb]:
+                if fn_id[q] != fid:
+                    continue
+                bq = arg_start[q]
+                same_ctx = True
+                for i in range(n_ctx):
+                    if self.find(arena[bp + i]) != self.find(arena[bq + i]):
+                        same_ctx = False
+                        break
+                if not same_ctx:
+                    continue
+                rp = self.find(p)
+                rq = self.find(q)
+                if rp != rq and self._roots_disequal(rp, rq):
+                    return True
+        return False
+
+    def inverse_watch_nodes(self, ra: int, rb: int, out: List[int]) -> None:
+        """Append the nodes whose classes :meth:`_inverse_disequal` reads
+        for the roots ``ra``/``rb`` — each inverse application over either
+        class and its context arguments — so a watcher of an undetermined
+        pair is woken when the rule could decide it."""
+        arg_start = self.arg_start
+        arena = self.arena
+        for r in (ra, rb):
+            for p in self.inv_uses[r]:
+                out.append(p)
+                base = arg_start[p]
+                for i in range(self.arg_len[p] - 1):
+                    out.append(arena[base + i])
 
     # -- merging ------------------------------------------------------------------
 
@@ -390,8 +472,8 @@ class FlatEGraph:
             # ry is absorbed into rx.  Wake policy: a watched pair's
             # relation can only change through the absorbed class (log
             # ry), or against the surviving class when it gains a theory
-            # annotation or a
-            # disequality from the absorbed one (log rx then) — inherited
+            # annotation, a disequality or inverse applications from the
+            # absorbed one (log rx then) — inherited
             # disequalities only ever pair a partner with rx's class, so
             # rx's bucket covers them.  Skipping the surviving root
             # otherwise keeps hub classes (e.g. TRUE's) from waking every
@@ -401,6 +483,7 @@ class FlatEGraph:
                 (self.int_has[ry] and not self.int_has[rx])
                 or (self.ctor[ry] >= 0 and self.ctor[rx] < 0)
                 or self.diseq[ry]
+                or self.inv_uses[ry]
             ):
                 self.events.append(rx)
             trail.append(ry)
@@ -450,6 +533,12 @@ class FlatEGraph:
             trail.append(len(self.uses[rx]))
             trail.append(_OP_USE_MERGE)
             self.uses[rx].extend(moved_parents)
+            moved_inv = self.inv_uses[ry]
+            if moved_inv:
+                trail.append(rx)
+                trail.append(len(self.inv_uses[rx]))
+                trail.append(_OP_INV_MERGE)
+                self.inv_uses[rx].extend(moved_inv)
             arena = self.arena
             for p in moved_parents:
                 sig: List[int] = [self.fn_id[p]]
@@ -588,6 +677,7 @@ class FlatEGraph:
                 self.best_term.pop()
                 self.uses.pop()
                 self.diseq.pop()
+                self.inv_uses.pop()
                 del self.term_to_node[term]
                 i -= 2
             elif op == _OP_UNION:
@@ -631,6 +721,12 @@ class FlatEGraph:
                 i -= 3
             elif op == _OP_CTOR:
                 self.ctor[trail[i - 3]] = trail[i - 2]
+                i -= 3
+            elif op == _OP_INV_USE:
+                self.inv_uses[trail[i - 2]].pop()
+                i -= 2
+            elif op == _OP_INV_MERGE:
+                del self.inv_uses[trail[i - 3]][trail[i - 2]:]
                 i -= 3
             else:  # pragma: no cover - defensive
                 raise AssertionError(f"unknown trail opcode {op}")

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.cli import main, parse_blocks, split_blocks
+from repro.cli import REMOVED_GLOBAL_FLAGS, main, parse_blocks, split_blocks
 from repro.cobalt.dsl import ForwardPattern, PureAnalysis
 from repro.il import ParseError
 
@@ -367,7 +367,40 @@ class TestRetiredProverFlag:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "repro-cobalt: error:" in err
-        assert "--kernel" not in err and "--prover-mode" not in err
+        usage = err.split("repro-cobalt: error:")[0]
+        assert "--kernel" not in usage and "--prover-mode" not in usage
+
+    @pytest.mark.parametrize("flag", sorted(REMOVED_GLOBAL_FLAGS))
+    @pytest.mark.parametrize("form", ["separate", "equals"])
+    def test_removed_global_flag_is_named_with_its_replacement(
+        self, flag, form, capsys
+    ):
+        """``--flag value verify`` must not read ``value`` as the
+        subcommand ("invalid choice"): the error names the removed flag and
+        what replaces it, in both spellings."""
+        argv = [flag, "x", "verify"] if form == "separate" else [f"{flag}=x", "verify"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" not in err
+        assert f"unrecognized arguments: {flag} (removed: " in err
+        assert REMOVED_GLOBAL_FLAGS[flag] in err
+
+    def test_removed_flag_after_double_dash_is_left_to_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--", "--kernel"])
+        assert exc.value.code == 2
+        assert "(removed:" not in capsys.readouterr().err
+
+    def test_live_flags_sharing_a_prefix_pass_the_check(self):
+        from repro.cli import build_parser, reject_removed_flags
+
+        argv = ["--prover-stats", "--cache-dir", "d", "suite"]
+        parser = build_parser()
+        reject_removed_flags(parser, argv)  # no exit
+        args = parser.parse_args(argv)
+        assert args.prover_stats and args.cache_dir == "d"
 
 
 class TestServeSubcommand:
