@@ -50,8 +50,8 @@ def main() -> None:
     print("=== 1. The optimization, in Cobalt ===")
     print(CONST_PROP)
 
-    # The façade accepts the Cobalt source directly; backend="internal" is
-    # the default — try VerifyOptions(backend="portfolio") with z3 on PATH.
+    # The façade accepts the Cobalt source directly; try
+    # VerifyOptions(jobs=2) to spread the obligations over two processes.
     verify = VerifyOptions(prover=ProverOptions(timeout_s=90))
 
     print("=== 2. Automatic soundness proof ===")

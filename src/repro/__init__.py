@@ -18,7 +18,7 @@ re-exported here::
 
     from repro import VerifyOptions, check_optimization, verify_suite
 
-    report = check_optimization(COBALT_SOURCE, VerifyOptions(backend="portfolio"))
+    report = check_optimization(COBALT_SOURCE, VerifyOptions(jobs=2))
 """
 
 __version__ = "1.1.0"

@@ -6,8 +6,8 @@ per axis.  This module consolidates it into three frozen options
 dataclasses and three functions:
 
 * :class:`ProverOptions` — the proof-search limits;
-* :class:`VerifyOptions` — how obligations are discharged (backend,
-  external solver, parallelism, caching);
+* :class:`VerifyOptions` — how obligations are discharged (parallelism,
+  caching, the prover's limits);
 * :class:`EngineOptions` — how optimizations are executed;
 * :func:`verify_suite` / :func:`check_optimization` /
   :func:`run_optimization` — the three things users actually do.
@@ -15,7 +15,7 @@ dataclasses and three functions:
 Everything here is re-exported from the top-level :mod:`repro` package::
 
     from repro import VerifyOptions, check_optimization
-    report = check_optimization(SOURCE, VerifyOptions(backend="portfolio"))
+    report = check_optimization(SOURCE, VerifyOptions(jobs=2))
 
 The CLI builds its options through the same dataclasses, so the
 command-line surface and the Python surface cannot drift; the pre-façade
@@ -28,11 +28,9 @@ output, and this Python façade.
 
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.prover.backends.base import BACKEND_NAMES, BackendSpec
 from repro.prover.core import ProverConfig
 
 __all__ = [
@@ -95,21 +93,9 @@ class ProverOptions:
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    """How proof obligations are discharged (docs/VERIFYING.md,
-    docs/BACKENDS.md)."""
+    """How proof obligations are discharged (docs/VERIFYING.md).  The
+    internal prover discharges every obligation."""
 
-    #: ``"internal"``, ``"smtlib"``, or ``"portfolio"``
-    backend: str = "internal"
-    #: external solver argv (tuple, or a shell-ish string which is split);
-    #: ``None`` auto-discovers ``z3``/``cvc5``/the z3py shim
-    solver_cmd: Optional[Union[str, Tuple[str, ...]]] = None
-    #: hard wall-clock limit per solver query (kill-on-timeout)
-    solver_timeout_s: float = 30.0
-    #: queries one solver process serves before it is recycled: 1 (a fresh
-    #: process per obligation case), N > 1, or 0 (never); above 1 or at 0
-    #: each case runs in a push/pop scope over a prelude asserted once.
-    #: Verdicts and reports are identical either way (docs/BACKENDS.md)
-    max_session_queries: int = 1
     #: obligation-level process-pool width (1 = serial)
     jobs: int = 1
     #: persistent proof-cache directory (the sharded CAS) — the L1 tier
@@ -118,26 +104,6 @@ class VerifyOptions:
     #: hard per-obligation wall-clock limit for pool workers
     obligation_timeout_s: Optional[float] = None
     prover: ProverOptions = ProverOptions()
-
-    def __post_init__(self) -> None:
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}"
-            )
-        if isinstance(self.solver_cmd, str):
-            object.__setattr__(
-                self, "solver_cmd", tuple(shlex.split(self.solver_cmd))
-            )
-        elif self.solver_cmd is not None and not isinstance(self.solver_cmd, tuple):
-            object.__setattr__(self, "solver_cmd", tuple(self.solver_cmd))
-
-    def backend_spec(self) -> BackendSpec:
-        return BackendSpec(
-            name=self.backend,
-            solver_cmd=self.solver_cmd,
-            solver_timeout_s=self.solver_timeout_s,
-            max_session_queries=self.max_session_queries,
-        )
 
     def prover_config(self) -> ProverConfig:
         return self.prover.to_config()
@@ -198,7 +164,8 @@ class SuiteReport:
 
     reports: List[object] = field(default_factory=list)
     elapsed_s: float = 0.0
-    #: identity of the backend that discharged the suite
+    #: identity of the prover that discharged the suite
+    #: (:data:`repro.verify.cache.INTERNAL_IDENTITY`)
     backend: str = ""
     #: the checker's proof cache (None when caching was off), for stats
     cache: Optional[object] = field(default=None, repr=False)
@@ -342,6 +309,7 @@ def verify_suite(
     import time as _time
 
     from repro import opts as suite
+    from repro.verify.cache import INTERNAL_IDENTITY
 
     if checker is None:
         checker = _make_checker(options)
@@ -349,7 +317,7 @@ def verify_suite(
         analyses = suite.ALL_ANALYSES
     if optimizations is None:
         optimizations = suite.ALL_OPTIMIZATIONS
-    out = SuiteReport(backend=checker.backend.identity(), cache=checker.cache)
+    out = SuiteReport(backend=INTERNAL_IDENTITY, cache=checker.cache)
     start = _time.monotonic()
     for analysis in analyses:
         report = checker.check_analysis(analysis)

@@ -34,19 +34,16 @@ The global ``--jobs N`` flag fans proof obligations out across N worker
 processes; ``--cache-dir DIR`` persists verdicts in a sharded
 content-addressed store so unchanged optimizations re-verify in
 milliseconds (docs/CACHING.md); to share proofs across machines, submit
-jobs to one ``repro-cobalt --cache-dir DIR serve`` daemon.
-``--backend internal|smtlib|portfolio`` selects the prover backend — the
-in-process prover, SMT-LIB2 sent to an external solver process over stdin
-(``--solver-cmd`` overrides auto-discovery of z3/cvc5), or a
-per-obligation race of the two (docs/BACKENDS.md).
-``--max-session-queries N`` is how many obligation cases one solver
-process serves (default 1, a fresh process per case; 0 = never
-recycle).  The deprecated ``--prover`` alias and the ``--prover-mode``,
-``--kernel``, ``--engine``, ``--solver-session``, ``--cache-url`` and
+jobs to one ``repro-cobalt --cache-dir DIR serve`` daemon.  Every
+obligation is discharged by the in-process prover; an external SMT
+solver (z3) cross-checks its proofs in CI only (docs/PROVER.md).  The
+deprecated ``--prover`` alias and the ``--prover-mode``, ``--kernel``,
+``--engine``, ``--backend``, ``--solver-cmd``, ``--solver-timeout``,
+``--max-session-queries``, ``--solver-session``, ``--cache-url`` and
 ``--cache-timeout`` switches were removed — using one exits 2 with a
 message that names it and its replacement (:data:`REMOVED_GLOBAL_FLAGS`);
-see the migration tables in docs/SERVICE.md, docs/CACHING.md and
-docs/BACKENDS.md.  ``--json`` on
+see the migration tables in docs/SERVICE.md and docs/CACHING.md.
+``--json`` on
 ``suite``, ``verify``, ``fuzz``, and ``cache stats`` emits the daemon's
 versioned wire schema on stdout instead of the human table.  ``--prover-stats``
 prints the prover's observability counters to stderr (see docs/PROVER.md),
@@ -87,10 +84,6 @@ def build_verify_options(args):
     from repro.api import ProverOptions, VerifyOptions
 
     return VerifyOptions(
-        backend=args.backend,
-        solver_cmd=args.solver_cmd,
-        solver_timeout_s=args.solver_timeout,
-        max_session_queries=args.max_session_queries,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         prover=ProverOptions(timeout_s=args.timeout),
@@ -250,8 +243,8 @@ def cmd_fuzz(args) -> int:
     progress and summaries on stderr.
 
     Exit status 1 means the *verifier itself* failed fuzzing — an axiom
-    misproof or a metamorphic prover disagreement.  Unsound rules in the
-    frontier report are the expected output of the campaign, not an error.
+    misproof.  Unsound rules in the frontier report are the expected output
+    of the campaign, not an error.
     """
     from dataclasses import replace
 
@@ -260,13 +253,12 @@ def cmd_fuzz(args) -> int:
         FRONTIER_PROVER_OPTIONS,
         axiom_campaign,
         frontier_campaign,
-        metamorphic_campaign,
     )
 
     base = build_verify_options(args)
     # Campaign verdicts must be byte-identical across machines and --jobs
     # settings, so the prover budget is the fixed counter-only one; only the
-    # backend/solver/jobs/cache axes are taken from flags.
+    # jobs/cache axes are taken from flags.
     options = replace(base, prover=FRONTIER_PROVER_OPTIONS)
     corpus_dir = None if args.no_corpus else (args.corpus_dir or str(DEFAULT_CORPUS_DIR))
     progress = None if args.quiet else (lambda m: print(m, file=sys.stderr))
@@ -289,14 +281,6 @@ def cmd_fuzz(args) -> int:
             progress=progress,
         )
         campaigns.append(("frontier", report))
-        print(report.summary(), file=sys.stderr)
-    if args.kind in ("metamorphic", "all"):
-        n = args.cases if args.kind == "metamorphic" else max(1, args.cases // 20)
-        report = metamorphic_campaign(
-            args.seed, n, options=options, corpus_dir=corpus_dir,
-            progress=progress,
-        )
-        campaigns.append(("metamorphic", report))
         print(report.summary(), file=sys.stderr)
     if args.json:
         from repro.service.wire import dumps, envelope
@@ -421,6 +405,9 @@ def _cache_dir_arg(value: str) -> str:
     return value
 
 
+_ONE_PROVER = ("there is one prover; the z3 cross-check of its proofs "
+               "runs in CI; drop the flag")
+
 #: Removed global flags and what replaces each.  They are rejected before
 #: argparse runs: argparse would read a removed flag's value as the
 #: subcommand (``--cache-url x verify``: "invalid choice: 'x'") and never
@@ -429,8 +416,11 @@ REMOVED_GLOBAL_FLAGS = {
     "--prover": "there is one prover search; drop the flag",
     "--prover-mode": "there is one prover search; drop the flag",
     "--kernel": "there is one e-graph kernel; drop the flag",
-    "--solver-session": "use --max-session-queries 0 for one warm solver "
-                        "process",
+    "--backend": _ONE_PROVER,
+    "--solver-cmd": _ONE_PROVER,
+    "--solver-timeout": _ONE_PROVER,
+    "--max-session-queries": _ONE_PROVER,
+    "--solver-session": _ONE_PROVER,
     "--cache-url": "run 'repro-cobalt --cache-dir DIR serve' on the cache "
                    "host and submit jobs to it",
     "--cache-timeout": "there is no network cache tier; drop the flag",
@@ -475,32 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="persist proof verdicts in DIR (a sharded "
                              "content-addressed store) so unchanged "
                              "optimizations re-verify from cache")
-    parser.add_argument("--backend",
-                        choices=("internal", "smtlib", "portfolio"),
-                        default="internal",
-                        help="prover backend: the in-process prover "
-                             "(default), SMT-LIB2 emission through an "
-                             "external solver subprocess, or a "
-                             "per-obligation race of the two; without a "
-                             "usable solver the external backends degrade "
-                             "to internal with a warning")
-    parser.add_argument("--solver-cmd", default=None, metavar="CMD",
-                        help="external solver command for "
-                             "--backend smtlib/portfolio (e.g. 'z3 -smt2'); "
-                             "default: auto-discover z3/cvc5/cvc4/z3py")
-    parser.add_argument("--solver-timeout", type=float, default=30.0,
-                        metavar="S",
-                        help="hard wall-clock limit per external solver "
-                             "query; overrunning solvers are killed "
-                             "(default: 30s)")
-    parser.add_argument("--max-session-queries", type=int, default=1,
-                        metavar="N",
-                        help="queries one solver process serves before it "
-                             "is recycled (default: 1, a fresh process per "
-                             "obligation case; 0 = never recycle); above 1 "
-                             "or at 0 the prelude is asserted once and each "
-                             "case runs in a push/pop scope — verdicts and "
-                             "reports are identical either way")
     parser.add_argument("--prover-stats", action="store_true",
                         help="print prover observability counters (match "
                              "time, instance/dedup rates, clause wakeups, "
@@ -539,17 +503,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_counterexample)
 
     p = sub.add_parser("fuzz",
-                       help="fuzz the verifier: axiom differential, rule "
-                            "frontier, metamorphic prover checks")
+                       help="fuzz the verifier: axiom differential and "
+                            "rule frontier")
     p.add_argument("--seed", type=int, default=0,
                    help="campaign seed; reports are byte-identical across "
                         "runs and --jobs settings at a fixed seed")
     p.add_argument("--cases", type=int, default=200,
                    help="campaign size: probes for --kind axioms, minted "
-                        "rules for frontier/metamorphic; --kind all splits "
-                        "this across the three kinds (default: 200)")
+                        "rules for frontier; --kind all splits this across "
+                        "the two kinds (default: 200)")
     p.add_argument("--kind",
-                   choices=("axioms", "frontier", "metamorphic", "all"),
+                   choices=("axioms", "frontier", "all"),
                    default="all",
                    help="which campaign to run (default: all)")
     p.add_argument("--corpus-dir", default=None, metavar="DIR",

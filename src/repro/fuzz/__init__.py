@@ -8,7 +8,7 @@ stress-tests everything above it (docs/FUZZING.md):
   (ground-state facts the prover must agree with the interpreter on);
 * :mod:`repro.fuzz.rules` — deterministic bulk minting, JSON round-trip
   and greedy shrinking of candidate Cobalt rules;
-* :mod:`repro.fuzz.campaign` — the three campaign kinds behind the
+* :mod:`repro.fuzz.campaign` — the two campaign kinds behind the
   ``repro fuzz`` CLI, with byte-identical canonical reports;
 * :mod:`repro.fuzz.corpus` — the persisted regression corpus replayed by
   ``tests/test_fuzz_corpus.py``.
@@ -18,13 +18,10 @@ from repro.fuzz.campaign import (
     FRONTIER_PROVER_OPTIONS,
     AxiomReport,
     FrontierReport,
-    MetamorphicReport,
     RuleVerdict,
     axiom_campaign,
     frontier_campaign,
     frontier_verify_options,
-    metamorphic_campaign,
-    metamorphic_check_rule,
 )
 from repro.fuzz.corpus import (
     DEFAULT_CORPUS_DIR,
@@ -59,7 +56,6 @@ __all__ = [
     "CorpusEntry",
     "DifferentialResult",
     "FrontierReport",
-    "MetamorphicReport",
     "OracleFinding",
     "OracleOutcome",
     "RuleMinter",
@@ -70,8 +66,6 @@ __all__ = [
     "frontier_campaign",
     "frontier_verify_options",
     "load_entries",
-    "metamorphic_campaign",
-    "metamorphic_check_rule",
     "oracle_check_program",
     "replay_entry",
     "rule_digest",

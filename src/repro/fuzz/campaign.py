@@ -1,4 +1,4 @@
-"""The three fuzzing campaign kinds and their canonical reports.
+"""The two fuzzing campaign kinds and their canonical reports.
 
 * :func:`axiom_campaign` — the axiom-vs-interpreter differential: random
   ground states probed against the background axioms; any fact the
@@ -7,11 +7,6 @@
   through the full soundness checker, with counterexample-program search
   separating *unsound* (a concrete miscompilation exists) from *unknown*
   (rejected within budget, no miscompilation found).
-* :func:`metamorphic_campaign` — the same rule must get the byte-identical
-  canonical verdict from every prover leg (``internal`` vs ``portfolio``
-  backends); the ``smtlib`` leg is
-  compared informationally (an external solver may legitimately prove
-  more).
 
 Determinism is the design constraint throughout: every campaign is a pure
 function of ``(seed, cases)``.  Prover budgets are expressed in
@@ -23,7 +18,7 @@ store (:mod:`repro.fuzz.corpus`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api import ProverOptions, VerifyOptions
@@ -35,7 +30,7 @@ from repro.fuzz.oracle import (
     OracleOutcome,
     oracle_check_program,
 )
-from repro.fuzz.rules import RuleMinter, rule_digest, rule_to_json, shrink_rule
+from repro.fuzz.rules import RuleMinter, rule_digest, rule_to_json
 from repro.il.generator import GeneratorConfig, ProgramGenerator
 from repro.il.printer import program_to_str
 from repro.il.program import Program, ProgramError
@@ -57,13 +52,11 @@ FRONTIER_PROVER_OPTIONS = ProverOptions(
 
 def frontier_verify_options(
     *,
-    backend: str = "internal",
     jobs: int = 1,
     cache_dir: Optional[str] = None,
 ) -> VerifyOptions:
     """Checker options for campaign verification (deterministic budget)."""
     return VerifyOptions(
-        backend=backend,
         jobs=jobs,
         cache_dir=cache_dir,
         prover=FRONTIER_PROVER_OPTIONS,
@@ -393,133 +386,4 @@ def frontier_campaign(
             )
         )
     report.unique = len(by_digest)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# (c) metamorphic prover checks
-# ---------------------------------------------------------------------------
-
-#: The hard metamorphic legs, (leg name, backend): same goals, same
-#: budgets, different backends.  Canonical verdicts must be byte-identical
-#: across all of them.  The names keep their "-incremental" suffix so
-#: reports stay comparable with older ones.
-_HARD_LEGS = (
-    ("internal-incremental", "internal"),
-    ("portfolio-incremental", "portfolio"),
-)
-
-
-def _leg_checkers(
-    base: Optional[VerifyOptions] = None,
-) -> List[Tuple[str, SoundnessChecker]]:
-    base = base or frontier_verify_options()
-    out = []
-    for name, backend in _HARD_LEGS:
-        options = replace(base, backend=backend)
-        out.append((name, SoundnessChecker(options=options)))
-    return out
-
-
-def metamorphic_check_rule(
-    rule: object,
-    checkers: Optional[List[Tuple[str, SoundnessChecker]]] = None,
-) -> Optional[str]:
-    """None when every hard leg agrees, else a disagreement description."""
-    checkers = checkers or _leg_checkers()
-    renders = [
-        (name, checker.check_pattern(rule).canonical())
-        for name, checker in checkers
-    ]
-    base_name, base_render = renders[0]
-    for name, render in renders[1:]:
-        if render != base_render:
-            return (
-                f"{base_name} and {name} disagree:\n"
-                f"--- {base_name} ---\n{base_render}\n"
-                f"--- {name} ---\n{render}"
-            )
-    return None
-
-
-@dataclass
-class MetamorphicReport:
-    """Canonical outcome of one metamorphic campaign."""
-
-    seed: int
-    cases: int
-    legs: Tuple[str, ...] = tuple(name for name, _ in _HARD_LEGS)
-    agreements: int = 0
-    disagreements: List[str] = field(default_factory=list)  # rule names
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
-
-    def canonical(self) -> str:
-        lines = [
-            f"fuzz-metamorphic seed={self.seed} cases={self.cases} "
-            f"legs={','.join(self.legs)}",
-            f"agreements={self.agreements} "
-            f"disagreements={len(self.disagreements)}",
-        ]
-        lines.extend(f"DISAGREE {name}" for name in self.disagreements)
-        return "\n".join(lines)
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.disagreements)} DISAGREEMENT(S)"
-        return (
-            f"[fuzz-metamorphic] {status}: {self.cases} rules across "
-            f"{len(self.legs)} prover legs"
-        )
-
-
-def metamorphic_campaign(
-    seed: int,
-    cases: int,
-    *,
-    options: Optional[VerifyOptions] = None,
-    corpus_dir: Optional[object] = None,
-    progress: Progress = None,
-) -> MetamorphicReport:
-    """Check verdict agreement across prover legs on ``cases`` minted rules."""
-    checkers = _leg_checkers(options)
-    minter = RuleMinter(seed)
-    report = MetamorphicReport(seed=seed, cases=cases)
-    seen: Dict[str, Optional[str]] = {}
-    for index in range(cases):
-        rule = minter.mint(index)
-        digest = rule_digest(rule)
-        if digest not in seen:
-            seen[digest] = metamorphic_check_rule(rule, checkers)
-            if seen[digest] is not None:
-                _emit(
-                    progress,
-                    f"fuzz-metamorphic: DISAGREE on {rule.name}: "
-                    f"{seen[digest].splitlines()[0]}",
-                )
-                shrunk = shrink_rule(
-                    rule,
-                    lambda candidate: metamorphic_check_rule(candidate, checkers)
-                    is not None,
-                )
-                if corpus_dir is not None:
-                    save_entry(
-                        corpus_dir,
-                        CorpusEntry(
-                            kind="metamorphic",
-                            found_by="metamorphic_campaign",
-                            seed=seed,
-                            digest=rule_digest(shrunk),
-                            note=seen[digest].splitlines()[0],
-                            data={"rule": rule_to_json(shrunk)},
-                        ),
-                    )
-        disagreement = seen[digest]
-        if disagreement is None:
-            report.agreements += 1
-        else:
-            report.disagreements.append(rule.name)
-        if (index + 1) % 5 == 0:
-            _emit(progress, f"fuzz-metamorphic: {index + 1}/{cases} rules")
     return report

@@ -1,7 +1,7 @@
 """The regression corpus: every failing fuzz case, replayed forever.
 
 Each discovered failure — an unsound minted rule with a concrete
-miscompilation, an axiom misproof, a metamorphic disagreement — is shrunk
+miscompilation, an axiom misproof — is shrunk
 and persisted as one JSON file in the repository-level ``corpus/``
 directory.  ``tests/test_fuzz_corpus.py`` replays every entry on every test
 run, so a fixed bug stays fixed and a known-unsound rule stays rejected.
@@ -10,7 +10,7 @@ Entry schema (version 1)::
 
     {
       "schema": 1,
-      "kind": "unsound-rule" | "axiom-misproof" | "metamorphic",
+      "kind": "unsound-rule" | "axiom-misproof",
       "found_by": "<campaign>",
       "seed": <int>,
       "digest": "<sha256 of the rule, or of the program text>",
@@ -25,7 +25,6 @@ Replay semantics:
   stored argument (both halves of the differential verdict).
 * ``axiom-misproof`` — the axiom oracle must report **zero** misproofs on
   the stored program/argument (the axiom bug must stay fixed).
-* ``metamorphic`` — all prover legs must agree on the stored rule.
 """
 
 from __future__ import annotations
@@ -115,8 +114,6 @@ def replay_entry(entry: CorpusEntry, options: Optional[object] = None) -> Tuple[
         return _replay_unsound_rule(entry, options)
     if entry.kind == "axiom-misproof":
         return _replay_axiom_misproof(entry)
-    if entry.kind == "metamorphic":
-        return _replay_metamorphic(entry, options)
     return False, f"unknown corpus entry kind {entry.kind!r}"
 
 
@@ -159,14 +156,3 @@ def _replay_axiom_misproof(entry: CorpusEntry) -> Tuple[bool, str]:
             f"axiom misproof regressed on corpus {entry.filename}: {details}"
         )
     return True, f"{outcome.probes} probes, no misproof"
-
-
-def _replay_metamorphic(entry: CorpusEntry, options) -> Tuple[bool, str]:
-    from repro.fuzz.campaign import metamorphic_check_rule
-    from repro.fuzz.rules import rule_from_json
-
-    rule = rule_from_json(entry.data["rule"])
-    disagreement = metamorphic_check_rule(rule)
-    if disagreement is not None:
-        return False, f"prover legs still disagree on {rule.name!r}: {disagreement}"
-    return True, f"{rule.name}: all prover legs agree"

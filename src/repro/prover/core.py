@@ -353,15 +353,8 @@ class Prover:
         extra_axioms: Sequence[Union[Formula, Clause]] = (),
         name: str = "goal",
         config: Optional[ProverConfig] = None,
-        cancel: Optional[object] = None,
     ) -> Result:
-        """Attempt to prove ``goal`` valid modulo the axioms.
-
-        ``cancel`` is an optional zero-argument callable polled at the same
-        points as the cooperative timeout; when it returns true the search
-        stops and answers ``unknown``.  This is how the portfolio backend
-        cuts a losing internal search short once an external solver has
-        already produced a conclusive verdict (docs/BACKENDS.md)."""
+        """Attempt to prove ``goal`` valid modulo the axioms."""
         cfg = config or self.config
         clauses: List[Clause] = list(self._base_clauses)
         for i, ax in enumerate(extra_axioms):
@@ -370,9 +363,7 @@ class Prover:
             else:
                 clauses.extend(clausify(ax, origin=f"extra#{i}", prefix=f"sk_x{i}_"))
         clauses.extend(clausify(Not(goal), origin="negated-goal", prefix="sk_goal_"))
-        search = _Search(clauses, self.constructors, cfg)
-        search.cancel = cancel
-        return search.run(name)
+        return _Search(clauses, self.constructors, cfg).run(name)
 
 
 def linear_injectivity(clause: Clause) -> Clause:
@@ -480,8 +471,6 @@ class _Search:
         self._clause_lits: List[Optional[list]] = []
         self.stats = ProverStats()
         self.deadline = 0.0
-        #: Optional zero-argument cancellation poll (see ``Prover.prove``).
-        self.cancel: Optional[object] = None
         self.assertion_log: List[str] = []
         self.saturated_context: List[str] = []
         # Satisfied-clause marks, scoped to decision levels: a clause found
@@ -777,8 +766,6 @@ class _Search:
         """True when the current branch is refuted."""
         if time.monotonic() > self.deadline:
             raise _Timeout()
-        if self.cancel is not None and self.cancel():
-            raise _Timeout()
         rounds = 0
         while True:
             outcome, split = self._scan_watched()
@@ -1070,8 +1057,6 @@ class _Search:
         added = False
         recorded: List[Tuple] = []
         for pair_idx, (clause, triggers, programs) in enumerate(self.quantified):
-            if self.cancel is not None and self.cancel():
-                raise _Timeout()
             if time.monotonic() > self.deadline:
                 raise _Timeout()
             clause_vars = set(clause.vars())

@@ -5,7 +5,7 @@ kernel: struct-of-arrays storage where e-nodes are integer ids, optionally
 compiled to a C extension via ``pip install repro[compiled]``.  Compiling
 never changes verdicts, contexts, logs, or search counters — only speed —
 so the kernel identity is excluded from the proof-cache fingerprint and
-backend identity.
+the prover identity verdicts are stored under.
 """
 
 from __future__ import annotations

@@ -37,30 +37,29 @@ from repro.service.wire import (
     prover_options_from_wire,
     suite_report_to_wire,
 )
-from repro.verify.cache import ProofCache
+from repro.verify.cache import INTERNAL_IDENTITY, ProofCache
 from repro.verify.checker import SoundnessChecker
 
 #: VerifyOptions fields a *client* may set over the wire.  Everything
-#: else — backend selection, solver commands, cache locations, pool
-#: width — is operator policy: ``solver_cmd`` in particular would let any
-#: client run an arbitrary command as the daemon user.
+#: else — cache locations, pool width — is operator policy.
 CLIENT_OPTION_FIELDS = frozenset({"prover", "obligation_timeout_s"})
 
-#: Known VerifyOptions fields that are *refused* (400) rather than
-#: silently ignored when a client sends them: silently dropping
-#: ``solver_cmd`` or ``backend`` would verify under a different regime
-#: than the client believes it asked for.
+#: Option fields that are *refused* (400) rather than silently ignored
+#: when a client sends them, so a client learns it was not honoured.
+#: Besides the operator's ``jobs`` and ``cache_dir`` these are the fields
+#: of removed axes: the external-solver backends (``backend``,
+#: ``solver_cmd``, ``solver_timeout_s``, ``max_session_queries``, the
+#: older ``solver_session``) and the network cache tier (``cache_url``,
+#: ``cache_timeout_s``).  Silently dropping ``backend`` would verify under
+#: a different regime than the client believes it asked for.
 FORBIDDEN_OPTION_FIELDS = frozenset({
     "backend",
     "solver_cmd",
     "solver_timeout_s",
-    # the removed session switch: still refused, so a client that sends it
-    # learns it was not honoured
     "solver_session",
     "max_session_queries",
     "jobs",
     "cache_dir",
-    # the removed network cache tier: still refused, like solver_session
     "cache_url",
     "cache_timeout_s",
 })
@@ -233,7 +232,7 @@ def _client_options(base: VerifyOptions, payload: dict) -> VerifyOptions:
     """Merge a client's restricted options over the daemon's base options.
 
     Clients steer the *proof search* (``prover``, per-obligation timeout);
-    operator policy (backend, solvers, caches, pool width) is fixed at
+    operator policy (caches, pool width) is fixed at
     daemon startup.  Known-but-forbidden fields are refused loudly."""
     raw = payload.get("options")
     if raw is None:
@@ -317,7 +316,7 @@ class VerificationService:
     """The daemon's engine room: a job queue over a shared cache and pool.
 
     ``options`` is the operator's base :class:`VerifyOptions` — its
-    backend/solver/cache configuration applies to every job; its ``jobs``
+    cache configuration applies to every job; its ``jobs``
     width sizes the shared process pool.  ``max_concurrent_jobs`` bounds
     the job-runner thread pool (queued jobs wait, nothing is dropped up to
     ``max_live_jobs`` — beyond that, submissions are refused with
@@ -405,15 +404,15 @@ class VerificationService:
 
     # -- execution -------------------------------------------------------
 
-    def _shared_pool(self, config, spec):
+    def _shared_pool(self, config):
         """The process pool every job's checker fans out into, built on the
         first call; workers re-initialize themselves for a task with
-        another config or backend spec, so one pool serves every job."""
+        another config, so one pool serves every job."""
         with self._pool_lock:
             if self._pool is None and not self._pool_failed:
                 from repro.verify.parallel import make_executor
 
-                self._pool = make_executor(config, self.options.jobs, spec)
+                self._pool = make_executor(config, self.options.jobs)
                 self._pool_failed = self._pool is None
             return self._pool
 
@@ -461,7 +460,7 @@ class VerificationService:
                 "live": self._jobs.live,
             }
         return {
-            "backend": self.options.backend,
+            "backend": INTERNAL_IDENTITY,
             "jobs": jobs,
             # The proof searches behind the jobs (the key name predates
             # single flight): misses that entered a claim, the batches

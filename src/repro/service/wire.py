@@ -318,12 +318,6 @@ def verify_options_to_wire(options) -> Dict[str, Any]:
     return envelope(
         "verify-options",
         {
-            "backend": options.backend,
-            "solver_cmd": (
-                None if options.solver_cmd is None else list(options.solver_cmd)
-            ),
-            "solver_timeout_s": options.solver_timeout_s,
-            "max_session_queries": options.max_session_queries,
             "jobs": options.jobs,
             "cache_dir": options.cache_dir,
             "obligation_timeout_s": options.obligation_timeout_s,
@@ -338,28 +332,14 @@ def verify_options_from_wire(data: Any):
     data = decode_envelope(data, "verify-options")
     defaults = VerifyOptions()
     prover = data.get("prover")
-    solver_cmd = data.get("solver_cmd", defaults.solver_cmd)
     obligation_timeout = data.get(
         "obligation_timeout_s", defaults.obligation_timeout_s
     )
-    max_session_queries = int(
-        data.get("max_session_queries", defaults.max_session_queries)
-    )
-    # Older documents may carry "solver_session" (the removed switch);
-    # false meant one solver process per query, whatever else they say.
-    if data.get("solver_session") is False:
-        max_session_queries = 1
-    # "cache_url"/"cache_timeout_s" (the removed network cache tier) are
-    # ignored like every unknown key.
+    # Older documents may carry the keys of removed axes — "backend",
+    # "solver_cmd", "solver_timeout_s", "max_session_queries",
+    # "solver_session" (external solvers), "cache_url", "cache_timeout_s"
+    # (the network cache tier); like every unknown key, they are ignored.
     return VerifyOptions(
-        backend=str(data.get("backend", defaults.backend)),
-        solver_cmd=(
-            None if solver_cmd is None else tuple(str(p) for p in solver_cmd)
-        ),
-        solver_timeout_s=float(
-            data.get("solver_timeout_s", defaults.solver_timeout_s)
-        ),
-        max_session_queries=max_session_queries,
         jobs=int(data.get("jobs", defaults.jobs)),
         cache_dir=(
             None if data.get("cache_dir", defaults.cache_dir) is None

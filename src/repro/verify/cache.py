@@ -53,10 +53,17 @@ from repro.verify.cas import ShardedStore
 #: prover's search itself changes (cached counterexample contexts reflect
 #: the search trajectory); old files are then ignored wholesale instead of
 #: being misread.  3: digests are structural (DAG walk over interned nodes)
-#: rather than printed forms.  4: verdicts carry the producing backend's
-#: identity (backend family + solver command + solver version); verdicts
-#: proved by an external solver replay only under the same identity.
+#: rather than printed forms.  4: verdicts carry the identity of the prover
+#: that produced them (:data:`INTERNAL_IDENTITY`); stores written while an
+#: external solver could also produce verdicts hold other identities, and
+#: only the internal prover's verdicts replay.
 SCHEMA_VERSION = 4
+
+#: The identity stamped on every verdict the internal prover produces.  It
+#: stays byte-identical to the one written when the prover still had a
+#: selectable mode and external solvers were a backend choice, so stores
+#: written then keep replaying.
+INTERNAL_IDENTITY = "internal;mode=incremental"
 
 
 def check_cache_dir(path: Union[str, os.PathLike]) -> Path:
@@ -262,10 +269,9 @@ def obligation_key(obligation, axiom_digest: str) -> str:
     )
 
 
-#: Backend identities whose ``proved`` verdicts are trusted by *every*
-#: requesting backend: the in-process prover's proofs are deterministic and
-#: carry no external-solver dependency.  External proofs are replayed only
-#: under the exact producing identity (solver command + version).
+#: Identities whose ``proved`` verdicts replay under every configuration:
+#: the internal prover's proofs are deterministic and sound under any
+#: resource limits.
 _UNIVERSAL_BACKEND_PREFIX = "internal"
 
 
@@ -277,8 +283,8 @@ class CachedVerdict:
     elapsed_s: float
     context: List[str] = field(default_factory=list)
     config: str = ""
-    #: identity of the backend that produced the verdict (see
-    #: :meth:`repro.prover.backends.base.ProverBackend.identity`).
+    #: identity of the prover that produced the verdict
+    #: (:data:`INTERNAL_IDENTITY`; older stores may hold others).
     backend: str = "internal"
 
     def to_json(self) -> dict:
@@ -309,38 +315,20 @@ class CachedVerdict:
 
     @property
     def universal(self) -> bool:
-        """An internal proof: it replays for every config and backend."""
+        """An internal proof: it replays for every config."""
         return self.proved and self.backend.startswith(_UNIVERSAL_BACKEND_PREFIX)
 
-    def replayable_for(self, config_fp: str, backend: str) -> bool:
-        """Whether this verdict answers a request under the given identity.
+    def replayable_for(self, config_fp: str) -> bool:
+        """Whether this verdict answers a request under ``config_fp``.
 
-        * internal ``proved`` verdicts are sound under any resource limits
-          and any requesting backend;
-        * external ``proved`` verdicts additionally require the same
-          backend identity (a different solver or version must re-prove);
-          when the producing solver's build could not be identified
-          (``version=unknown`` — a failed version probe), the identity is
-          too weak to scope by, so the verdict is config-scoped like a
-          failure: a *different* solver build at the same command would
-          otherwise replay proofs it never produced;
-        * ``unknown`` verdicts are resource-limit artifacts — they replay
-          only for the exact configuration *and* backend that produced
-          them."""
+        * internal ``proved`` verdicts are sound under any resource limits;
+        * anything else replays only for the exact configuration that
+          produced it, and only when the internal prover produced it:
+          ``unknown`` verdicts are resource-limit artifacts, and verdicts
+          an external solver wrote into an older store never replay."""
         if self.universal:
             return True
-        if self.proved:
-            # A portfolio identity embeds its legs' identities verbatim, so
-            # substring containment is exactly "produced by one of my legs".
-            identity_ok = self.backend == backend or (
-                bool(self.backend) and self.backend in backend
-            )
-            if not identity_ok:
-                return False
-            if "version=unknown" in self.backend:
-                return self.config == config_fp
-            return True
-        return self.config == config_fp and self.backend == backend
+        return self.config == config_fp and self.backend == INTERNAL_IDENTITY
 
     def same_payload(self, other: "CachedVerdict") -> bool:
         """Semantic equality, ignoring incidental timing.
@@ -366,8 +354,8 @@ class CacheStats:
     hits: int = 0
     #: the key is absent from every tier
     misses: int = 0
-    #: an entry exists but is not replayable for this config/backend
-    #: (an ``unknown`` under different limits, or a foreign solver's proof)
+    #: an entry exists but is not replayable for this config (an
+    #: ``unknown`` under different limits, or an external solver's verdict)
     stale: int = 0
     stores: int = 0
     #: missed keys claimed for a proof search (single flight)
@@ -397,8 +385,8 @@ class ProofCache:
     call.
 
     Concurrent checkers dedupe their searches through claims (single
-    flight), scoped by ``(key, config_fp, backend)`` — the identity a
-    verdict is replayed under:
+    flight), scoped by ``(key, config_fp)`` — the identity a verdict is
+    replayed under:
 
     * :meth:`claim` splits missed keys into the caller's (it must prove
       them) and those another checker is already proving;
@@ -419,8 +407,8 @@ class ProofCache:
         self._entries: Dict[str, CachedVerdict] = {}  # L0
         self._store: Optional[ShardedStore] = None  # L1
         self._dirty: Set[str] = set()  # locally produced, pending L1 write
-        #: open claims: scope (key, config_fp, backend) -> set on release
-        self._claims: Dict[Tuple[str, str, str], threading.Event] = {}
+        #: open claims: scope (key, config_fp) -> set on release
+        self._claims: Dict[Tuple[str, str], threading.Event] = {}
         if path is not None:
             self._store = ShardedStore(check_cache_dir(path), SCHEMA_VERSION)
 
@@ -465,9 +453,7 @@ class ProofCache:
                     self._entries[key] = entry
         return entry
 
-    def get(
-        self, key: str, config_fp: str, backend: str = "internal"
-    ) -> Optional[CachedVerdict]:
+    def get(self, key: str, config_fp: str) -> Optional[CachedVerdict]:
         """A replayable verdict from L0/L1, or None.
 
         Scoping (:meth:`CachedVerdict.replayable_for`) is applied here, on
@@ -478,30 +464,30 @@ class ProofCache:
             if entry is None:
                 self.stats.misses += 1
                 return None
-            if entry.replayable_for(config_fp, backend):
+            if entry.replayable_for(config_fp):
                 self.stats.hits += 1
                 return entry
             self.stats.stale += 1
             return None
 
     def put(self, key: str, *, proved: bool, elapsed_s: float,
-            context: Sequence[str] = (), config_fp: str = "",
-            backend: str = "internal") -> None:
-        """Store a verdict for ``key`` and release the caller's claim on it.
+            context: Sequence[str] = (), config_fp: str = "") -> None:
+        """Store the internal prover's verdict for ``key`` and release the
+        caller's claim on it.
 
-        A stored internal proof replays under every config and backend, so
-        only another internal proof replaces it: an ``unknown`` from a run
-        under tighter limits (or an external solver's proof) would narrow
-        who the key replays for, and later runs would prove it again."""
+        A stored proof replays under every config, so only another proof
+        replaces it: an ``unknown`` from a run under tighter limits would
+        narrow who the key replays for, and later runs would prove it
+        again."""
         entry = CachedVerdict(
             proved=proved,
             elapsed_s=elapsed_s,
             context=list(context)[:_MAX_CONTEXT_LINES],
             config=config_fp,
-            backend=backend,
+            backend=INTERNAL_IDENTITY,
         )
         with self._lock:
-            self._release((key, config_fp, backend))
+            self._release((key, config_fp))
             existing = self._lookup(key)
             if existing is not None and (
                 existing.same_payload(entry)
@@ -517,7 +503,7 @@ class ProofCache:
     # -- single flight -------------------------------------------------------
 
     def claim(
-        self, keys: Sequence[str], config_fp: str, backend: str = "internal"
+        self, keys: Sequence[str], config_fp: str
     ) -> Tuple[List[str], List[str]]:
         """Split missed ``keys`` into ``(mine, theirs)`` under one scope.
 
@@ -530,10 +516,10 @@ class ProofCache:
         theirs: List[str] = []
         with self._lock:
             for key in keys:
-                scope = (key, config_fp, backend)
+                scope = (key, config_fp)
                 entry = self._lookup(key)
                 if scope in self._claims or (
-                    entry is not None and entry.replayable_for(config_fp, backend)
+                    entry is not None and entry.replayable_for(config_fp)
                 ):
                     theirs.append(key)
                 else:
@@ -545,7 +531,7 @@ class ProofCache:
         return mine, theirs
 
     def settle(
-        self, keys: Sequence[str], config_fp: str, backend: str = "internal"
+        self, keys: Sequence[str], config_fp: str
     ) -> Dict[str, CachedVerdict]:
         """Wait out other checkers' claims on ``keys``, then :meth:`get`.
 
@@ -554,27 +540,25 @@ class ProofCache:
         so waiting can never deadlock."""
         for key in keys:
             with self._lock:
-                claim = self._claims.get((key, config_fp, backend))
+                claim = self._claims.get((key, config_fp))
             if claim is not None:
                 claim.wait()
         settled: Dict[str, CachedVerdict] = {}
         for key in keys:
-            hit = self.get(key, config_fp, backend)
+            hit = self.get(key, config_fp)
             if hit is not None:
                 settled[key] = hit
         with self._lock:
             self.stats.coalesced += len(settled)
         return settled
 
-    def release(
-        self, keys: Sequence[str], config_fp: str, backend: str = "internal"
-    ) -> None:
+    def release(self, keys: Sequence[str], config_fp: str) -> None:
         """Drop the caller's claims on ``keys`` still open (the error path)."""
         with self._lock:
             for key in keys:
-                self._release((key, config_fp, backend))
+                self._release((key, config_fp))
 
-    def _release(self, scope: Tuple[str, str, str]) -> None:
+    def _release(self, scope: Tuple[str, str]) -> None:
         claim = self._claims.pop(scope, None)
         if claim is not None:
             claim.set()

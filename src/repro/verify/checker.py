@@ -13,8 +13,9 @@ the paper's checker useful as a debugging tool (section 6).
 Obligations are independent of each other (the paper's non-inductive
 design), which the checker exploits two ways:
 
-* with ``jobs > 1`` unresolved obligations are fanned out across a process
-  pool (:mod:`repro.verify.parallel`) with deterministic result ordering;
+* with ``jobs > 1`` unresolved obligations are fanned out across one
+  process pool per checker (:mod:`repro.verify.parallel`) with
+  deterministic result ordering;
 * with a ``cache`` every verdict is stored in a persistent
   content-addressed store (:mod:`repro.verify.cache`), so re-verifying an
   unchanged optimization replays the stored verdicts instead of re-running
@@ -29,6 +30,7 @@ searched again.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -36,6 +38,7 @@ from repro.cobalt.dsl import BackwardPattern, ForwardPattern, Optimization, Pure
 from repro.cobalt.labels import LabelRegistry, standard_registry
 from repro.prover import Prover, ProverConfig, ProverStats, Result
 from repro.verify.cache import (
+    INTERNAL_IDENTITY,
     CachedVerdict,
     ProofCache,
     config_fingerprint,
@@ -59,10 +62,10 @@ class ObligationResult:
     #: Prover observability counters, aggregated over the obligation's
     #: kind-split cases.  ``None`` for cached verdicts (no search ran).
     stats: Optional[ProverStats] = None
-    #: Identity of the backend that produced this verdict (see
-    #: :meth:`repro.prover.backends.ProverBackend.identity`); keys the
-    #: persistent proof cache.
-    backend: str = "internal"
+    #: Identity of the prover that produced this verdict
+    #: (:data:`repro.verify.cache.INTERNAL_IDENTITY`; a replayed verdict
+    #: carries the identity it was stored with).
+    backend: str = INTERNAL_IDENTITY
 
     def to_wire(self) -> dict:
         """The versioned wire form (docs/SERVICE.md)."""
@@ -168,8 +171,6 @@ def discharge_obligation(
     owner: str,
     obligation: Obligation,
     config: Optional[ProverConfig] = None,
-    *,
-    cancel: Optional[object] = None,
 ) -> ObligationResult:
     """Discharge one obligation with the given prover.
 
@@ -177,10 +178,6 @@ def discharge_obligation(
     kind at a time: the top level of the case analysis is performed here,
     each sub-case by the prover.  This function is self-contained (no
     checker state) so worker processes can call it directly.
-
-    ``cancel`` is a zero-argument callable polled by the prover's search
-    loop; the portfolio backend uses it to stop the internal search once
-    the external solver has already proved the obligation.
     """
     # Imported at call time so a wrapper installed on
     # ``repro.logic.formulas.clausify`` (perfbench/tracer.py) sees the call.
@@ -194,8 +191,8 @@ def discharge_obligation(
     cases = obligation.cases()
     start = time.monotonic()
     if not cases:
-        # Mirrors SmtLibBackend.run_cases: an obligation with zero proof
-        # cases is an error outcome, never a vacuous proof.
+        # An obligation with zero proof cases is an error outcome, never a
+        # vacuous proof.
         return ObligationResult(
             obligation.name,
             False,
@@ -215,7 +212,6 @@ def discharge_obligation(
             extra_axioms=seed_clauses,
             name=f"{owner}:{case_name}",
             config=config,
-            cancel=cancel,
         )
         stats.merge(result.stats)
         if not result.proved:
@@ -231,7 +227,7 @@ class SoundnessChecker:
 
     Configure it with a :class:`repro.api.VerifyOptions`::
 
-        SoundnessChecker(options=VerifyOptions(backend="portfolio", jobs=4))
+        SoundnessChecker(options=VerifyOptions(jobs=4, cache_dir=".proof-cache"))
 
     ``config=`` remains the supported way to hand over a bare
     :class:`ProverConfig` and overrides ``options.prover`` when both are
@@ -240,9 +236,11 @@ class SoundnessChecker:
     cache tests) use to share one verdict store across many checkers;
     path-shaped caches are configured through ``options.cache_dir``.
     ``pool=`` lends a long-lived process pool for ``jobs > 1``: a callable
-    ``(config, backend_spec)`` returning the executor (or ``None`` when the
-    platform has none), called only when there is work to fan out — the
-    daemon's one pool, built on first use and shared by every job.
+    ``(config)`` returning the executor (or ``None`` when the platform has
+    none), called only when there is work to fan out — the daemon's one
+    pool, built on first use and shared by every job.  Without one, the
+    checker builds its own pool the first time it has work to fan out and
+    shuts it down when the checker is collected.
 
     (The pre-façade ``cache=``/``jobs=``/``obligation_timeout_s=`` kwargs
     were removed after one release of deprecation; see the migration table
@@ -256,10 +254,9 @@ class SoundnessChecker:
         config: Optional[ProverConfig] = None,
         options: Optional["VerifyOptions"] = None,
         proof_cache: Optional[ProofCache] = None,
-        pool: Optional[Callable[[ProverConfig, object], object]] = None,
+        pool: Optional[Callable[[ProverConfig], object]] = None,
     ) -> None:
         from repro.api import VerifyOptions
-        from repro.prover.backends.base import resolve_backend
 
         if options is None:
             options = VerifyOptions()
@@ -284,15 +281,12 @@ class SoundnessChecker:
         self.cache: Optional[ProofCache] = cache
         self.jobs = max(1, int(options.jobs))
         self._pool = pool
+        #: the pool this checker built for itself (``pool`` not lent), shut
+        #: down when the checker is collected; False once building failed.
+        self._own_pool = None
         #: hard per-obligation wall-clock limit for parallel workers (the
         #: prover's own cooperative timeout still applies everywhere).
         self.obligation_timeout_s = options.obligation_timeout_s
-        #: the resolved prover backend (degrades to internal, with a one-line
-        #: warning, when an external solver was requested but none exists).
-        self.backend = resolve_backend(
-            options.backend_spec(), self.config, prover=self._prover
-        )
-        self._backend_id = self.backend.identity()
         self._axiom_digest = all_axioms_digest()
         # The hard wall-clock limit participates in the fingerprint: a
         # hard-timeout verdict is an ``unknown`` manufactured by this limit,
@@ -325,7 +319,7 @@ class SoundnessChecker:
         else:
             missed = []
             for key in first:
-                hit = cache.get(key, self._config_fp, self._backend_id)
+                hit = cache.get(key, self._config_fp)
                 if hit is None:
                     missed.append(key)
                 else:
@@ -334,7 +328,7 @@ class SoundnessChecker:
                 # Prove our own claims (and release them) before waiting
                 # on anyone else's, so no two checkers can wait on each
                 # other.
-                mine, theirs = cache.claim(missed, self._config_fp, self._backend_id)
+                mine, theirs = cache.claim(missed, self._config_fp)
                 try:
                     fresh = self._dispatch(name, [obligations[first[k]] for k in mine])
                     for key, result in zip(mine, fresh):
@@ -345,11 +339,10 @@ class SoundnessChecker:
                             elapsed_s=result.elapsed_s,
                             context=result.context,
                             config_fp=self._config_fp,
-                            backend=result.backend if result.proved else self._backend_id,
                         )
                 finally:
-                    cache.release(mine, self._config_fp, self._backend_id)
-                settled = cache.settle(theirs, self._config_fp, self._backend_id)
+                    cache.release(mine, self._config_fp)
+                settled = cache.settle(theirs, self._config_fp)
                 verdicts.update(settled)
                 missed = [key for key in theirs if key not in settled]
             # Persist fresh verdicts to L1; a fully warm pattern is a no-op.
@@ -382,28 +375,41 @@ class SoundnessChecker:
     ) -> List[ObligationResult]:
         """Discharge cache-missed obligations; results in obligation order.
 
-        Routes through the process pool (``jobs > 1``: the lent ``pool`` or
-        one built for this call) or the in-process backend, one search at a
-        time.  Subclasses overriding it (tests) must stay order-preserving
-        and verdict-deterministic so reports stay byte-identical."""
-        from repro.verify.parallel import discharge_in_process
+        Routes through the process pool (``jobs > 1``) or the checker's own
+        prover in this process, one search at a time.  Subclasses
+        overriding it (tests) must stay order-preserving and
+        verdict-deterministic so reports stay byte-identical."""
+        from repro.verify.parallel import discharge_in_process, discharge_parallel
 
+        executor = None
         if self.jobs > 1 and len(obligations) > 1:
-            from repro.prover.backends.base import worker_spec
-            from repro.verify.parallel import discharge_parallel
+            executor = self._executor()
+        if executor is None:
+            return discharge_in_process(self._prover, name, obligations, self.config)
+        return discharge_parallel(
+            name,
+            obligations,
+            self.config,
+            executor=executor,
+            fallback=self._prover,
+            hard_timeout_s=self.obligation_timeout_s,
+        )
 
-            spec = worker_spec(self.backend)
-            return discharge_parallel(
-                name,
-                obligations,
-                self.config,
-                jobs=self.jobs,
-                hard_timeout_s=self.obligation_timeout_s,
-                backend_spec=spec,
-                fallback_backend=self.backend,
-                executor=self._pool(self.config, spec) if self._pool else None,
-            )
-        return discharge_in_process(self.backend, name, obligations)
+    def _executor(self):
+        """The lent pool, or this checker's own, built on first use; None
+        when the platform cannot host a process pool."""
+        if self._pool is not None:
+            return self._pool(self.config)
+        if self._own_pool is None:
+            from repro.verify.parallel import make_executor
+
+            pool = make_executor(self.config, self.jobs)
+            self._own_pool = pool if pool is not None else False
+            if pool is not None:
+                # The finalizer holds the pool, not the checker, so the
+                # checker can be collected; it also runs at interpreter exit.
+                weakref.finalize(self, pool.shutdown, wait=True, cancel_futures=True)
+        return self._own_pool or None
 
     # ------------------------------------------------------------------
 

@@ -103,9 +103,9 @@ class Obligation:
     def cases(self) -> List[Tuple[str, Formula]]:
         """The statement-kind case analysis, one named goal per case.
 
-        Every backend proves exactly these goals: the internal prover in
-        :func:`repro.verify.checker.discharge_obligation`, an external
-        solver in :mod:`repro.prover.backends.smtlib`."""
+        The internal prover proves exactly these goals
+        (:func:`repro.verify.checker.discharge_obligation`), and so does the
+        z3 cross-check in CI (``tests/oracle_smtlib.py``)."""
         if self.split_term is None:
             return [(self.name, self.goal)]
         return [

@@ -58,12 +58,14 @@ class TestOptions:
                 options.backend = "other"  # type: ignore[misc]
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            VerifyOptions(backend="simplify")
-
-    def test_solver_cmd_string_is_split(self):
-        assert VerifyOptions(solver_cmd="z3 -smt2").solver_cmd == ("z3", "-smt2")
-        assert VerifyOptions(solver_cmd=["z3"]).solver_cmd == ("z3",)
+        # There is one prover: the backend and external-solver fields are
+        # gone, so setting one is a TypeError, never a silently ignored
+        # choice.
+        for name, value in (("backend", "portfolio"), ("solver_cmd", "z3"),
+                            ("solver_timeout_s", 5.0),
+                            ("max_session_queries", 0)):
+            with pytest.raises(TypeError):
+                VerifyOptions(**{name: value})
 
     def test_prover_options_round_trip_config(self):
         config = ProverConfig(timeout_s=7.0, max_rounds=3, max_decisions=9)

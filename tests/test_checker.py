@@ -201,3 +201,27 @@ class TestBuggyVariantsRejected:
         # s' = skip: the evaluability invariant is trivial.
         report = checker.check_optimization(dae)
         assert [r.obligation for r in report.results] == ["B1", "B2", "B3"]
+
+
+class TestDischarge:
+    def test_zero_cases_is_an_error_not_a_vacuous_proof(self, monkeypatch):
+        # An obligation whose case analysis is empty must never be "proved"
+        # by an all-of-nothing loop — emptying the statement-kind table
+        # turns every split obligation into exactly that trap.
+        from repro.cobalt.labels import standard_registry
+        from repro.prover import Prover
+        from repro.verify import encode as E
+        from repro.verify.checker import discharge_obligation
+        from repro.verify.obligations import ObligationBuilder
+
+        ob = next(
+            o for o in ObligationBuilder(standard_registry()).forward_obligations(
+                const_prop.pattern
+            )
+            if o.split_term is not None
+        )
+        monkeypatch.setattr(E, "STMT_KINDS", ())
+        prover = Prover(E.all_axioms(), constructors=E.CONSTRUCTORS)
+        result = discharge_obligation(prover, "constProp", ob, ProverConfig(timeout_s=60.0))
+        assert not result.proved
+        assert any("no proof cases" in line for line in result.context)

@@ -348,7 +348,7 @@ class TestRetiredProverFlag:
             ["--kernel", "flat", "verify"],
             ["--prover-mode", "incremental", "verify"],
             ["opt", "prog.il", "--passes", "constProp", "--engine", "worklist"],
-            ["--backend", "smtlib", "--solver-session", "verify"],
+            ["--solver-session", "verify"],
             ["serve", "--batch-window", "1"],
             ["--cache-url", "http://127.0.0.1:8421", "verify"],
             ["--cache-timeout", "2", "verify"],
@@ -370,7 +370,14 @@ class TestRetiredProverFlag:
         usage = err.split("repro-cobalt: error:")[0]
         assert "--kernel" not in usage and "--prover-mode" not in usage
 
-    @pytest.mark.parametrize("flag", sorted(REMOVED_GLOBAL_FLAGS))
+    #: The external-solver flags, listed here as well as in the table so
+    #: that dropping one from the table fails the test.
+    EXTERNAL_SOLVER_FLAGS = ("--backend", "--solver-cmd", "--solver-timeout",
+                             "--max-session-queries")
+
+    @pytest.mark.parametrize(
+        "flag", sorted(set(REMOVED_GLOBAL_FLAGS) | set(EXTERNAL_SOLVER_FLAGS))
+    )
     @pytest.mark.parametrize("form", ["separate", "equals"])
     def test_removed_global_flag_is_named_with_its_replacement(
         self, flag, form, capsys
@@ -386,6 +393,11 @@ class TestRetiredProverFlag:
         assert "invalid choice" not in err
         assert f"unrecognized arguments: {flag} (removed: " in err
         assert REMOVED_GLOBAL_FLAGS[flag] in err
+
+    def test_external_solver_flags_point_at_the_ci_cross_check(self):
+        for flag in self.EXTERNAL_SOLVER_FLAGS + ("--solver-session",):
+            assert "one prover" in REMOVED_GLOBAL_FLAGS[flag]
+            assert "z3 cross-check" in REMOVED_GLOBAL_FLAGS[flag]
 
     def test_removed_flag_after_double_dash_is_left_to_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,6 @@ content-addressed; replaying it on every test run pins the fix forever:
 * ``unsound-rule-*`` — the checker must still reject the rule AND the
   stored program pair must still miscompile on the stored argument;
 * ``axiom-misproof-*`` — the axiom oracle must report zero misproofs;
-* ``metamorphic-*`` — all prover legs must agree on the stored rule.
 """
 
 import pytest
@@ -23,7 +22,7 @@ def test_corpus_exists_and_is_wellformed():
             f"{path.name} does not match its content digest "
             f"(expected {entry.filename})"
         )
-        assert entry.kind in ("unsound-rule", "axiom-misproof", "metamorphic")
+        assert entry.kind in ("unsound-rule", "axiom-misproof")
 
 
 @pytest.mark.parametrize(

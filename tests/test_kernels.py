@@ -345,8 +345,8 @@ def test_timeout_enforced_mid_match(kernel):
 
 #: A proof store written before the kernel/mode switches were removed:
 #: constProp (proved), buggyConstPropNoPointers and buggyConstFoldWrongResult
-#: (refuted; failures replay only under the same backend identity), checked
-#: with ``ProverOptions(timeout_s=120.0)``.
+#: (refuted; failures replay only under the same config and the internal
+#: prover identity), checked with ``ProverOptions(timeout_s=120.0)``.
 PARENT_STORE = Path(__file__).parent / "golden" / "parent_store"
 
 

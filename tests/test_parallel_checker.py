@@ -5,9 +5,12 @@ verdicts in the same order* as a serial checker — for sound optimizations,
 for the deliberately buggy variants, and for the whole shipped
 ``cobalt/suite.cobalt`` file (slow) — and a wedged obligation is cut off by
 the per-obligation hard timeout as ``unknown`` instead of hanging the run.
+A checker builds one process pool for all of its items, and its workers
+end when it is collected.
 """
 
 import copy
+import gc
 import time
 from dataclasses import replace
 
@@ -16,14 +19,13 @@ import pytest
 from repro.cobalt.labels import standard_registry
 from repro.logic.formulas import And, Forall, Implies, Pred
 from repro.logic.terms import App, LVar
-from repro.prover import ProverConfig
+from repro.prover import Prover, ProverConfig
 from repro.api import VerifyOptions
 from repro.verify import SoundnessChecker
 from repro.verify.checker import discharge_obligation
+from repro.verify.encode import CONSTRUCTORS, all_axioms
 from repro.verify.obligations import Obligation, ObligationBuilder
-from repro.prover.backends import build_internal_prover
-from repro.prover.backends.internal import InternalBackend
-from repro.verify.parallel import discharge_parallel
+from repro.verify.parallel import discharge_parallel, make_executor
 from repro.opts import (
     branch_fold,
     const_fold,
@@ -38,6 +40,22 @@ from repro.opts.buggy import (
 )
 
 FAST = ProverConfig(timeout_s=60.0)
+
+
+def _prover(config=FAST):
+    return Prover(all_axioms(), constructors=CONSTRUCTORS, config=config)
+
+
+def _discharge_parallel(owner, obligations, config, *, jobs, **kwargs):
+    """``discharge_parallel`` over a pool of its own, shut down after."""
+    executor = make_executor(config, jobs)
+    try:
+        return discharge_parallel(
+            owner, obligations, config, executor=executor,
+            fallback=_prover(config), **kwargs
+        )
+    finally:
+        executor.shutdown(wait=False, cancel_futures=True)
 
 FAST_ITEMS = [
     const_prop,
@@ -64,7 +82,7 @@ class TestParallelMatchesSerial:
         obligations = ObligationBuilder(standard_registry()).forward_obligations(
             const_prop.pattern
         )
-        results = discharge_parallel("constProp", obligations, FAST, jobs=2)
+        results = _discharge_parallel("constProp", obligations, FAST, jobs=2)
         assert [r.obligation for r in results] == [ob.name for ob in obligations]
 
     @pytest.mark.slow
@@ -125,7 +143,7 @@ class TestTimeouts:
             timeout_s=3.0, max_rounds=10**6, max_instances=10**9, max_decisions=10**9
         )
         start = time.monotonic()
-        results = discharge_parallel(
+        results = _discharge_parallel(
             "endless", [_endless_obligation()], config, jobs=1, hard_timeout_s=0.3
         )
         elapsed = time.monotonic() - start
@@ -161,12 +179,8 @@ class TestFallbacks:
         )
         bad = copy.copy(obligations[0])
         object.__setattr__(bad, "hook", lambda: None)  # poisons pickling
-        prover = build_internal_prover(FAST)
-        results = discharge_parallel(
-            "constFold", [bad], FAST, jobs=2,
-            fallback_backend=InternalBackend(FAST, prover=prover),
-        )
-        expected = discharge_obligation(prover, "constFold", obligations[0], FAST)
+        results = _discharge_parallel("constFold", [bad], FAST, jobs=2)
+        expected = discharge_obligation(_prover(), "constFold", obligations[0], FAST)
         assert len(results) == 1
         assert results[0].proved == expected.proved
         assert results[0].obligation == expected.obligation
@@ -206,3 +220,61 @@ class TestBatchDedupe:
         assert [r.proved for r in report.results] == [True, True, True]
         assert report.results[0].stats is not None
         assert report.results[1].stats is None and report.results[2].stats is None
+
+
+class TestOnePoolPerChecker:
+    def test_multi_item_run_builds_one_pool_that_ends_with_its_checker(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.verify.parallel as parallel_mod
+        from repro.cli import main
+
+        built, workers = [], []
+
+        def recording(config, jobs):
+            executor = make_executor(config, jobs)
+            built.append(executor)
+            shutdown = executor.shutdown
+
+            def snapshot_then_shutdown(*args, **kwargs):
+                workers.extend(executor._processes.values())
+                shutdown(*args, **kwargs)
+
+            executor.shutdown = snapshot_then_shutdown
+            return executor
+
+        monkeypatch.setattr(parallel_mod, "make_executor", recording)
+        source = tmp_path / "two.cobalt"
+        source.write_text(_CONST_PROP + _COPY_PROP)
+        # `check` builds one checker for every block in the file and drops
+        # it when the command returns.
+        assert main(["--timeout", "60", "--jobs", "2", "check", str(source)]) == 0
+        gc.collect()
+        assert len(built) == 1
+        assert workers, "the checker never shut its pool down"
+        assert all(not worker.is_alive() for worker in workers)
+
+
+_CONST_PROP = """
+forward optimization constProp {
+  stmt(Y := C)
+  followed by
+  !mayDef(Y)
+  until
+  X := Y  =>  X := C
+  with witness
+  eta(Y) == C
+}
+"""
+
+_COPY_PROP = """
+forward optimization copyProp {
+  stmt(Y := Z)
+  followed by
+  !mayDef(Y) && !mayDef(Z)
+  until
+  X := Y  =>  X := Z
+  with witness
+  eta(Y) == eta(Z)
+}
+"""

@@ -2,7 +2,7 @@
 
 Covers, bottom-up: the rate limiter's deterministic 429 path (injected
 clock), single-flight dedupe between checkers sharing one proof cache
-(driven by events and a gated stand-in backend, never by timing), the
+(driven by events and a gated stand-in prover, never by timing), the
 job queue's validation/rejection paths, and the asyncio HTTP
 server end to end — concurrent clients getting byte-identical reports to
 a serial local ``verify_suite``, malformed/oversized bodies answered
@@ -22,6 +22,7 @@ import pytest
 
 from repro.api import ProverOptions, VerifyOptions, verify_suite
 from repro.cobalt.labels import standard_registry
+from repro.prover import Result, Status
 from repro.service import (
     Job,
     RateLimiter,
@@ -32,7 +33,8 @@ from repro.service import (
 )
 from repro.service.wire import WireError, envelope
 from repro.verify.cache import ProofCache, obligation_key
-from repro.verify.checker import ObligationResult, SoundnessChecker
+from repro.verify import encode as E
+from repro.verify.checker import SoundnessChecker
 from repro.verify.obligations import ObligationBuilder
 
 CONST_PROP = """
@@ -117,13 +119,15 @@ class TestRateLimiter:
 # ---------------------------------------------------------------------------
 
 
-class GatedBackend:
-    """A stand-in backend whose searches block until ``gate`` opens
+class GatedProver:
+    """A stand-in prover whose searches block until ``gate`` opens
     (already open unless ``gated``).
 
-    Records every call and the most searches ever inside it at once;
-    ``entered`` is set when the first search starts.  Answers ``proved``
-    (or ``unknown``), or raises when ``fail`` is set."""
+    Records each obligation it is asked to discharge as ``(owner,
+    obligation name)`` — once, at the obligation's first case — and the
+    most searches ever inside it at once; ``entered`` is set when the
+    first search starts.  Answers ``proved`` (or ``unknown``), or raises
+    when ``fail`` is set."""
 
     def __init__(self, *, gated=True, proved=True, fail=False) -> None:
         self.gate = threading.Event()
@@ -137,9 +141,12 @@ class GatedBackend:
         self.max_active = 0
         self.lock = threading.Lock()
 
-    def discharge(self, owner, obligation):
+    def prove(self, goal, *, extra_axioms=(), name="goal", config=None):
+        owner, case = name.split(":", 1)
+        obligation, _, kind = case.partition("[")
         with self.lock:
-            self.calls.append((owner, obligation.name))
+            if kind in ("", f"{E.STMT_KINDS[0].fn}]"):
+                self.calls.append((owner, obligation))
             self.active += 1
             self.max_active = max(self.max_active, self.active)
         self.entered.set()
@@ -147,15 +154,12 @@ class GatedBackend:
             assert self.gate.wait(60), "gate never opened"
             if self.fail:
                 raise RuntimeError("search crashed")
-            context = [] if self.proved else ["<unknown>"]
-            return ObligationResult(obligation.name, self.proved, 0.01,
-                                    context, backend=self.identity())
+            if self.proved:
+                return Result(Status.PROVED, name)
+            return Result(Status.UNKNOWN, name, ["<unknown>"])
         finally:
             with self.lock:
                 self.active -= 1
-
-    def identity(self) -> str:
-        return "fake"
 
 
 class SignallingCache(ProofCache):
@@ -168,17 +172,17 @@ class SignallingCache(ProofCache):
         self.waiting = {name: threading.Event() for name in threads}
         self.claims_log = []
 
-    def claim(self, keys, config_fp, backend="internal"):
-        mine, theirs = super().claim(keys, config_fp, backend)
+    def claim(self, keys, config_fp):
+        mine, theirs = super().claim(keys, config_fp)
         name = threading.current_thread().name
         self.claims_log.append((name, list(mine), list(theirs)))
         self.claimed[name].set()
         return mine, theirs
 
-    def settle(self, keys, config_fp, backend="internal"):
+    def settle(self, keys, config_fp):
         if keys:
             self.waiting[threading.current_thread().name].set()
-        return super().settle(keys, config_fp, backend)
+        return super().settle(keys, config_fp)
 
 
 def _obligations(owner="F"):
@@ -196,13 +200,12 @@ def _distinct_keys(checker, obligations):
     return len({obligation_key(ob, checker._axiom_digest) for ob in obligations})
 
 
-def _checker(cache, backend, *, timeout_s=None):
+def _checker(cache, prover, *, timeout_s=None):
     checker = SoundnessChecker(
         options=replace(FAST, obligation_timeout_s=timeout_s),
         proof_cache=cache,
     )
-    checker.backend = backend
-    checker._backend_id = backend.identity()
+    checker._prover = prover
     return checker
 
 
@@ -237,31 +240,31 @@ def _overlap(a, obs_a, b, obs_b, *, gated, b_reached):
 
 class TestSingleFlight:
     def test_each_scoped_key_is_discharged_once(self):
-        backend = GatedBackend()
+        prover = GatedProver()
         cache = SignallingCache("A", "B")
-        a, b = _checker(cache, backend), _checker(cache, backend)
+        a, b = _checker(cache, prover), _checker(cache, prover)
         obs_a, obs_b = _obligations("A"), _obligations("B")
         # B finds every key claimed by A and waits for A's searches.
-        box_a, box_b = _overlap(a, obs_a, b, obs_b, gated=backend,
+        box_a, box_b = _overlap(a, obs_a, b, obs_b, gated=prover,
                                 b_reached=cache.waiting["B"])
         assert "error" not in box_a and "error" not in box_b
         distinct = _distinct_keys(a, obs_a)
         # Two of constFold's obligations share goal content, hence one key:
         # A dedupes its own batch, and B searches nothing at all.
         assert distinct < len(obs_a)
-        assert len(backend.calls) == distinct
-        assert {owner for owner, _ in backend.calls} == {"A"}
+        assert len(prover.calls) == distinct
+        assert {owner for owner, _ in prover.calls} == {"A"}
         assert [r.proved for r in box_b["report"].results] == [True] * len(obs_b)
         assert cache.stats.coalesced == distinct
         assert cache.stats.claims == distinct
         assert cache.stats.claim_batches == 1
 
     def test_each_job_gets_results_in_order_under_its_own_names(self):
-        backend = GatedBackend()
+        prover = GatedProver()
         cache = SignallingCache("A", "B")
-        a, b = _checker(cache, backend), _checker(cache, backend)
+        a, b = _checker(cache, prover), _checker(cache, prover)
         obs_a, obs_b = _obligations("A"), _obligations("B")
-        box_a, box_b = _overlap(a, obs_a, b, obs_b, gated=backend,
+        box_a, box_b = _overlap(a, obs_a, b, obs_b, gated=prover,
                                 b_reached=cache.waiting["B"])
         for box, obs in ((box_a, obs_a), (box_b, obs_b)):
             results = box["report"].results
@@ -272,11 +275,11 @@ class TestSingleFlight:
         firsts = {}
         for ob in obs_a:
             firsts.setdefault(obligation_key(ob, a._axiom_digest), ob.name)
-        assert [name for _, name in backend.calls] == list(firsts.values())
+        assert [name for _, name in prover.calls] == list(firsts.values())
 
     def test_unknown_under_one_hard_timeout_never_answers_another(self):
-        short = GatedBackend(proved=False)  # a hard-timeout unknown
-        full = GatedBackend(gated=False)
+        short = GatedProver(proved=False)  # a hard-timeout unknown
+        full = GatedProver(gated=False)
         cache = SignallingCache("A", "B")
         a = _checker(cache, short, timeout_s=0.001)
         b = _checker(cache, full)
@@ -293,8 +296,8 @@ class TestSingleFlight:
         assert not cache.waiting["B"].is_set()
 
     def test_failed_claimant_releases_and_waiter_proves_itself(self):
-        crashing = GatedBackend(fail=True)
-        healthy = GatedBackend(gated=False)
+        crashing = GatedProver(fail=True)
+        healthy = GatedProver(gated=False)
         cache = SignallingCache("A", "B")
         a, b = _checker(cache, crashing), _checker(cache, healthy)
         obs = _obligations()
@@ -327,22 +330,22 @@ class TestSingleFlight:
                 self.lock.release()
 
         monkeypatch.setattr(parallel, "_SEARCH_LOCK", ObservedLock())
-        backend = GatedBackend()
-        original = backend.discharge
+        prover = GatedProver()
+        original = prover.prove
 
-        def discharge(owner, obligation):
-            if owner == "B":
+        def prove(goal, *, name, **kwargs):
+            if name.startswith("B:"):
                 progress.set()  # reached while A searches only without a lock
-            return original(owner, obligation)
+            return original(goal, name=name, **kwargs)
 
-        backend.discharge = discharge
+        prover.prove = prove
         # Separate caches: nothing is shared, both jobs must search.
-        a = _checker(ProofCache(None), backend)
-        b = _checker(ProofCache(None), backend)
+        a = _checker(ProofCache(None), prover)
+        b = _checker(ProofCache(None), prover)
         box_a, box_b = _overlap(a, _obligations("A"), b, _obligations("B"),
-                                gated=backend, b_reached=progress)
+                                gated=prover, b_reached=progress)
         assert contended.is_set()
-        assert backend.max_active == 1
+        assert prover.max_active == 1
         assert all(r.proved for r in box_a["report"].results)
         assert all(r.proved for r in box_b["report"].results)
 

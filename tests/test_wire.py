@@ -171,8 +171,6 @@ class TestStatsRoundTrip:
 class TestOptionsRoundTrips:
     def test_verify_options_round_trip(self):
         options = VerifyOptions(
-            backend="portfolio",
-            solver_cmd="z3 -smt2",
             jobs=4,
             cache_dir="/tmp/cache",
             obligation_timeout_s=12.5,
@@ -190,9 +188,9 @@ class TestOptionsRoundTrips:
         assert VerifyOptions.from_wire(doc) == VerifyOptions(jobs=2)
 
     def test_verify_options_defaults_fill_missing(self):
-        doc = envelope("verify-options", {"backend": "smtlib"})
+        doc = envelope("verify-options", {"cache_dir": "/tmp/cache"})
         back = VerifyOptions.from_wire(doc)
-        assert back.backend == "smtlib"
+        assert back.cache_dir == "/tmp/cache"
         assert back.jobs == VerifyOptions().jobs
         assert back.prover == ProverOptions()
 
@@ -232,19 +230,16 @@ class TestOptionsRoundTrips:
 
 
     def test_older_clients_solver_session_key_still_decodes(self):
-        """Documents from before the solver-session switch was removed
-        decode: ``solver_session: false`` meant a process per query."""
-        assert "solver_session" not in VerifyOptions().to_wire()
-        old_default = envelope("verify-options", {
-            "backend": "smtlib", "solver_session": False,
-            "max_session_queries": 0,
-        })
-        assert VerifyOptions.from_wire(old_default).max_session_queries == 1
-        warm = envelope("verify-options", {
-            "backend": "smtlib", "solver_session": True,
-            "max_session_queries": 0,
-        })
-        assert VerifyOptions.from_wire(warm).max_session_queries == 0
+        """Documents from before the external-solver backends were removed
+        decode, and their backend and solver keys are ignored."""
+        doc = VerifyOptions(jobs=2).to_wire()
+        for key in ("backend", "solver_cmd", "solver_timeout_s",
+                    "max_session_queries", "solver_session"):
+            assert key not in doc
+        doc.update(backend="portfolio", solver_cmd=["z3", "-smt2"],
+                   solver_timeout_s=5.0, max_session_queries=0,
+                   solver_session=True)
+        assert VerifyOptions.from_wire(doc) == VerifyOptions(jobs=2)
 
 
 class TestRunResultRoundTrip:
